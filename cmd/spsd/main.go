@@ -22,15 +22,7 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"pbrouter/internal/cli"
@@ -64,15 +56,7 @@ func main() {
 		cli.ValidateLogFormat(*logFormat),
 	)
 
-	opts := &slog.HandlerOptions{Level: cli.LogLevel(*logLevel)}
-	var handler slog.Handler
-	if *logFormat == "text" {
-		handler = slog.NewTextHandler(os.Stderr, opts)
-	} else {
-		handler = slog.NewJSONHandler(os.Stderr, opts)
-	}
-	logger := slog.New(handler).With("service", "spsd")
-
+	logger := cli.Logger(*logLevel, *logFormat, "spsd")
 	srv, err := serve.New(serve.Config{
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
@@ -88,38 +72,7 @@ func main() {
 		cli.Exit(cli.Outcome{RunErr: err})
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		cli.Exit(cli.Outcome{RunErr: err})
-	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-	}
-	logger.Info("listening", "addr", bound, "workers", *workers,
-		"queue", *queueDepth, "ui", *ui, "api", *apiPrefix)
-
 	srv.Start()
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	select {
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received, draining")
-		// Jobs first: finish or checkpoint everything accepted, then
-		// close the listener so late pollers get clean errors.
-		srv.Drain(context.Background())
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(shutCtx)
-		cli.Exit(cli.Outcome{})
-	case err := <-serveErr:
-		cli.Exit(cli.Outcome{RunErr: fmt.Errorf("spsd: serve: %w", err)})
-	}
+	cli.ServeUntilSignal(*addr, *addrFile, srv.Handler(), srv.Drain, logger,
+		"workers", *workers, "queue", *queueDepth, "ui", *ui, "api", *apiPrefix)
 }

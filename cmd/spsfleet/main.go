@@ -19,15 +19,7 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"pbrouter/internal/cli"
@@ -68,15 +60,7 @@ func main() {
 		cli.ValidateLogFormat(*logFormat),
 	)
 
-	opts := &slog.HandlerOptions{Level: cli.LogLevel(*logLevel)}
-	var handler slog.Handler
-	if *logFormat == "text" {
-		handler = slog.NewTextHandler(os.Stderr, opts)
-	} else {
-		handler = slog.NewJSONHandler(os.Stderr, opts)
-	}
-	logger := slog.New(handler).With("service", "spsfleet")
-
+	logger := cli.Logger(*logLevel, *logFormat, "spsfleet")
 	coord, err := fleet.New(fleet.Config{
 		Backends:        urls,
 		Scheduler:       *sched,
@@ -95,36 +79,7 @@ func main() {
 		cli.Exit(cli.Outcome{RunErr: err})
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		cli.Exit(cli.Outcome{RunErr: err})
-	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-	}
-	logger.Info("listening", "addr", bound, "backends", len(urls),
-		"scheduler", *sched, "workers", *workers)
-
 	coord.Start()
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	select {
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received, draining")
-		coord.Drain(context.Background())
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(shutCtx)
-		cli.Exit(cli.Outcome{})
-	case err := <-serveErr:
-		cli.Exit(cli.Outcome{RunErr: fmt.Errorf("spsfleet: serve: %w", err)})
-	}
+	cli.ServeUntilSignal(*addr, *addrFile, coord.Handler(), coord.Drain, logger,
+		"backends", len(urls), "scheduler", *sched, "workers", *workers)
 }

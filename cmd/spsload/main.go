@@ -1,6 +1,7 @@
-// Command spsload load-tests a running spsd daemon: K concurrent
-// clients submit a mix of quick jobs across the four kinds, poll them
-// to completion, and report submit-to-complete latency percentiles.
+// Command spsload load-tests a running spsd daemon (or spsfleet
+// coordinator): K concurrent clients submit a mix of quick jobs of any
+// served kind, follow each job's event stream to its end, fetch the
+// result, and report submit-to-complete latency percentiles.
 //
 // Examples:
 //
@@ -13,7 +14,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,12 +28,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pbrouter/internal/arch"
 	"pbrouter/internal/cli"
 	"pbrouter/internal/fleet"
 	"pbrouter/internal/resilience"
 	"pbrouter/internal/serve"
 	"pbrouter/internal/sim"
+	"pbrouter/internal/splitpolicy"
 	"pbrouter/internal/stats"
+	"pbrouter/internal/workload"
 )
 
 func main() {
@@ -39,8 +45,7 @@ func main() {
 		clients  = flag.Int("clients", 8, "concurrent clients")
 		jobs     = flag.Int("jobs", 32, "total jobs to submit")
 		seed     = flag.Uint64("seed", 1, "base seed; job i runs with seed+i")
-		kinds    = flag.String("kinds", "sim,sweep,validate,resilience", "comma-separated job kinds to mix")
-		poll     = flag.Duration("poll", 50*time.Millisecond, "status poll interval")
+		kinds    = flag.String("kinds", "sim,sweep,validate,resilience", "comma-separated job kinds to mix (sim|sweep|validate|resilience|split|arch)")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "per-job completion timeout")
 		fleetRpt = flag.Bool("fleet", false, "print the coordinator's /fleet backend report after the run (spsfleet targets only)")
 	)
@@ -69,15 +74,15 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := &http.Client{Timeout: 30 * time.Second}
+			client := &http.Client{}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= *jobs {
 					return
 				}
 				kind := mix[i%len(mix)]
-				spec := quickSpec(kind, *seed+uint64(i))
-				d, err := runOne(client, base, spec, *poll, *timeout)
+				spec, _ := quickSpec(kind, *seed+uint64(i)) // parseKinds vetted the kind
+				d, err := runOne(client, base, spec, *timeout)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "job %d (%s): %v\n", i, kind, err)
 					errs.Add(1)
@@ -143,56 +148,64 @@ func printFleetReport(base string) error {
 	return nil
 }
 
-// parseKinds parses the -kinds mix.
+// parseKinds parses the -kinds mix: any kind quickSpec can build.
 func parseKinds(s string) ([]serve.Kind, error) {
 	var mix []serve.Kind
 	for _, part := range strings.Split(s, ",") {
-		switch k := serve.Kind(strings.TrimSpace(part)); k {
-		case serve.KindSim, serve.KindSweep, serve.KindValidate, serve.KindResilience:
-			mix = append(mix, k)
-		default:
-			return nil, fmt.Errorf("-kinds: unknown job kind %q", part)
+		k := serve.Kind(strings.TrimSpace(part))
+		if _, err := quickSpec(k, 0); err != nil {
+			return nil, fmt.Errorf("-kinds: %w", err)
 		}
-	}
-	if len(mix) == 0 {
-		return nil, fmt.Errorf("-kinds: need at least one job kind")
+		mix = append(mix, k)
 	}
 	return mix, nil
 }
 
 // quickSpec builds a small deterministic job of the given kind — load
 // generation should stress the daemon, not the simulator.
-func quickSpec(kind serve.Kind, seed uint64) serve.Spec {
+func quickSpec(kind serve.Kind, seed uint64) (serve.Spec, error) {
+	spec := serve.Spec{Kind: kind}
 	switch kind {
 	case serve.KindSim:
-		return serve.Spec{Kind: kind, Sim: &serve.SimSpec{
-			Load: 0.6, HorizonPs: 2 * sim.Microsecond, Seed: seed,
-		}}
+		spec.Sim = &serve.SimSpec{Load: 0.6, HorizonPs: 2 * sim.Microsecond, Seed: seed}
 	case serve.KindSweep:
-		return serve.Spec{Kind: kind, Sweep: &serve.SweepSpec{
-			Experiment: "E1", Quick: true, Seed: seed,
-		}}
+		spec.Sweep = &serve.SweepSpec{Experiment: "E1", Quick: true, Seed: seed}
 	case serve.KindValidate:
-		return serve.Spec{Kind: kind, Validate: &serve.ValidateSpec{
-			Seed: seed, Cases: 3, HorizonUs: 2,
-		}}
-	default:
-		return serve.Spec{Kind: serve.KindResilience, Resilience: &resilience.SweepConfig{
+		spec.Validate = &serve.ValidateSpec{Seed: seed, Cases: 3, HorizonUs: 2}
+	case serve.KindResilience:
+		spec.Resilience = &resilience.SweepConfig{
 			Mode: resilience.ModeFailedSwitches, MaxFailed: 1,
 			HorizonPs: 5 * sim.Microsecond, Seed: seed,
-		}}
+		}
+	case serve.KindSplit:
+		spec.Split = &splitpolicy.SweepConfig{
+			Policies:  []string{splitpolicy.PolicyStatic, splitpolicy.PolicyLeastLoaded},
+			Workloads: []string{splitpolicy.WorkloadAdversarial},
+			N:         4, F: 8, H: 4, HorizonPs: 4 * sim.Microsecond, Epochs: 2, Seed: seed,
+		}
+	case serve.KindArch:
+		spec.Arch = &arch.SweepConfig{
+			Archs:     []string{arch.ArchOQ, arch.ArchCQ},
+			Workloads: []string{workload.KindUniform},
+			N:         4, HorizonPs: 4 * sim.Microsecond, Seed: seed,
+		}
+	default:
+		return serve.Spec{}, fmt.Errorf("unknown job kind %q", kind)
 	}
+	return spec, nil
 }
 
-// runOne submits one job and polls it to completion, returning the
-// submit-to-complete latency.
-func runOne(client *http.Client, base string, spec serve.Spec, poll, timeout time.Duration) (time.Duration, error) {
+// runOne submits one job, follows its event stream to the end, and
+// fetches the result, returning the submit-to-complete latency.
+func runOne(client *http.Client, base string, spec serve.Spec, timeout time.Duration) (time.Duration, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return 0, err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	start := time.Now()
-	resp, err := client.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := send(ctx, client, http.MethodPost, base+"/jobs", body)
 	if err != nil {
 		return 0, err
 	}
@@ -200,24 +213,71 @@ func runOne(client *http.Client, base string, spec serve.Spec, poll, timeout tim
 	if err != nil {
 		return 0, err
 	}
-	deadline := start.Add(timeout)
-	for !st.State.Terminal() {
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("job %s: timed out in state %s", st.ID, st.State)
-		}
-		time.Sleep(poll)
-		resp, err := client.Get(base + "/jobs/" + st.ID)
-		if err != nil {
-			return 0, err
-		}
-		if st, err = decodeStatus(resp); err != nil {
-			return 0, err
-		}
+	if resp, err = send(ctx, client, http.MethodGet, base+"/jobs/"+st.ID+"/stream", nil); err != nil {
+		return 0, err
 	}
+	if st, err = followStream(resp, st); err != nil {
+		return 0, err
+	}
+	d := time.Since(start)
 	if st.State != serve.StateDone {
 		return 0, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
 	}
-	return time.Since(start), nil
+	if resp, err = send(ctx, client, http.MethodGet, base+"/jobs/"+st.ID+"/result", nil); err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return 0, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("job %s result: HTTP %d", st.ID, resp.StatusCode)
+	}
+	return d, nil
+}
+
+// send issues one request under the job's deadline.
+func send(ctx context.Context, client *http.Client, method, url string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return client.Do(req)
+}
+
+// followStream reads a job's NDJSON event stream to its end and
+// returns st updated by the last state event; a stream that ends
+// before a terminal state is an error.
+func followStream(resp *http.Response, st serve.Status) (serve.Status, error) {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("job %s stream: HTTP %d", st.ID, resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		var ev struct {
+			Event string      `json:"event"`
+			State serve.State `json:"state"`
+			Error string      `json:"error"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return st, fmt.Errorf("job %s stream: %w", st.ID, err)
+		}
+		if ev.Event == "state" {
+			st.State, st.Error = ev.State, ev.Error
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return st, fmt.Errorf("job %s stream: %w", st.ID, err)
+	}
+	if !st.State.Terminal() {
+		return st, fmt.Errorf("job %s: stream ended in state %s", st.ID, st.State)
+	}
+	return st, nil
 }
 
 // decodeStatus reads a job status response, surfacing API errors.

@@ -11,31 +11,49 @@ import (
 )
 
 func TestParseKinds(t *testing.T) {
-	mix, err := parseKinds("sim, sweep,validate,resilience")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate, serve.KindResilience}
-	if len(mix) != len(want) {
-		t.Fatalf("got %v, want %v", mix, want)
-	}
-	for i := range want {
-		if mix[i] != want[i] {
-			t.Errorf("mix[%d] = %s, want %s", i, mix[i], want[i])
+	for _, c := range []struct {
+		in   string
+		want []serve.Kind // nil: rejected
+	}{
+		{"sim, sweep,validate,resilience", []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate, serve.KindResilience}},
+		{"split", []serve.Kind{serve.KindSplit}},
+		{"arch,sim", []serve.Kind{serve.KindArch, serve.KindSim}},
+		{"sim,sweep,validate,resilience,split,arch", []serve.Kind{serve.KindSim, serve.KindSweep,
+			serve.KindValidate, serve.KindResilience, serve.KindSplit, serve.KindArch}},
+		{"", nil},
+		{"simulate", nil},
+		{"sim,,sweep", nil},
+		{"mesh", nil},
+	} {
+		mix, err := parseKinds(c.in)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("parseKinds(%q) accepted: %v", c.in, mix)
+			}
+			continue
 		}
-	}
-	for _, bad := range []string{"", "simulate", "sim,,sweep"} {
-		if _, err := parseKinds(bad); err == nil {
-			t.Errorf("parseKinds(%q) accepted", bad)
+		if err != nil || len(mix) != len(c.want) {
+			t.Errorf("parseKinds(%q) = %v, %v; want %v", c.in, mix, err, c.want)
+			continue
+		}
+		for i := range c.want {
+			if mix[i] != c.want[i] {
+				t.Errorf("parseKinds(%q)[%d] = %s, want %s", c.in, i, mix[i], c.want[i])
+			}
 		}
 	}
 }
 
 // TestQuickSpecsAreValid pins that every kind the load generator can
-// emit passes the daemon's own admission checks.
+// emit passes the daemon's own admission checks, and that an unknown
+// kind is an error rather than some other kind's spec.
 func TestQuickSpecsAreValid(t *testing.T) {
-	for _, k := range []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate, serve.KindResilience} {
-		spec := quickSpec(k, 42)
+	for _, k := range []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate,
+		serve.KindResilience, serve.KindSplit, serve.KindArch} {
+		spec, err := quickSpec(k, 42)
+		if err != nil {
+			t.Fatalf("quickSpec(%s): %v", k, err)
+		}
 		if spec.Kind != k {
 			t.Errorf("quickSpec(%s) built kind %s", k, spec.Kind)
 		}
@@ -43,6 +61,9 @@ func TestQuickSpecsAreValid(t *testing.T) {
 		if err := spec.Check(); err != nil {
 			t.Errorf("quickSpec(%s) rejected: %v", k, err)
 		}
+	}
+	if spec, err := quickSpec("mesh", 42); err == nil {
+		t.Errorf("quickSpec(mesh) built a %s spec", spec.Kind)
 	}
 }
 
@@ -63,7 +84,11 @@ func newDaemon(t *testing.T) string {
 func TestRunOneCompletesQuickJob(t *testing.T) {
 	base := newDaemon(t)
 	client := &http.Client{Timeout: 30 * time.Second}
-	d, err := runOne(client, base, quickSpec(serve.KindSim, 7), 10*time.Millisecond, time.Minute)
+	spec, err := quickSpec(serve.KindSim, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := runOne(client, base, spec, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +106,26 @@ func TestRunOneReportsFailedJob(t *testing.T) {
 	spec := serve.Spec{Kind: serve.KindValidate, Validate: &serve.ValidateSpec{
 		Seed: 1, Cases: 3, Fault: "fixed-group", Shrink: &noShrink, HorizonUs: 5,
 	}}
-	_, err := runOne(client, base, spec, 10*time.Millisecond, time.Minute)
+	_, err := runOne(client, base, spec, time.Minute)
 	if err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Fatalf("want failed-job error, got %v", err)
+	}
+}
+
+// TestRunOneEveryKind drives one quick job of each kind through the
+// stream-following client path.
+func TestRunOneEveryKind(t *testing.T) {
+	base := newDaemon(t)
+	client := &http.Client{Timeout: 30 * time.Second}
+	for _, k := range []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate,
+		serve.KindResilience, serve.KindSplit, serve.KindArch} {
+		spec, err := quickSpec(k, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runOne(client, base, spec, time.Minute); err != nil {
+			t.Errorf("%s: %v", k, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -10,70 +9,26 @@ import (
 	"pbrouter/internal/serve"
 )
 
-// runJob executes one dequeued job: dispatch every pending unit over
-// the fleet, then assemble the payloads through the same serializer
-// paths a single-node run uses — so the result bytes are identical.
-func (c *Coordinator) runJob(j *Job) {
-	c.mu.Lock()
-	if c.draining || j.State != serve.StateQueued {
-		c.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(c.baseCtx)
-	j.State = serve.StateRunning
-	j.Started = time.Now()
-	j.cancel = cancel
+// run is the coordinator's serve.Executor: dispatch every pending
+// unit over the fleet, then assemble the payloads through the same
+// serializer paths a single-node run uses — so the result bytes are
+// identical.
+func (c *Coordinator) run(ctx context.Context, r *serve.Run) ([]byte, error) {
 	var pending []int
-	for u, payload := range j.units {
+	for u, payload := range r.Units() {
 		if payload == nil {
 			pending = append(pending, u)
 		}
 	}
-	c.running++
-	c.mu.Unlock()
-
-	j.stream.publish(stateEvent{Job: j.ID, Event: "state", State: serve.StateRunning})
-	c.jobLog(j).Info("job running", "units_pending", len(pending))
-	err := c.runUnits(ctx, j, pending)
-	cancel()
-
-	var result []byte
-	if err == nil {
-		c.mu.Lock()
-		units := append([]json.RawMessage(nil), j.units...)
-		c.mu.Unlock()
-		result, err = serve.AssembleUnits(j.Spec, units)
+	if err := c.runUnits(ctx, r, pending); err != nil {
+		return nil, err
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.running--
-	var found *serve.FoundError
-	switch {
-	case err == nil:
-		c.finishLocked(j, serve.StateDone, "", result)
-	case errors.As(err, &found):
-		c.finishLocked(j, serve.StateFailed, err.Error(), result)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if c.draining {
-			// Completed units are checkpointed; the job resumes on restart.
-			j.State = serve.StateQueued
-			j.Started = time.Time{}
-			j.cancel = nil
-			c.persistLocked(j)
-			c.jobLog(j).Info("job checkpointed for resume",
-				"units_done", j.done, "units_total", j.Spec.UnitCount())
-		} else {
-			c.finishLocked(j, serve.StateCancelled, "cancelled", nil)
-		}
-	default:
-		c.finishLocked(j, serve.StateFailed, err.Error(), nil)
-	}
+	return serve.AssembleUnits(r.Spec, r.Units())
 }
 
 // runUnits fans the pending units over at most Fanout concurrent
 // dispatchers. The first terminal error cancels the rest.
-func (c *Coordinator) runUnits(ctx context.Context, j *Job, pending []int) error {
+func (c *Coordinator) runUnits(ctx context.Context, r *serve.Run, pending []int) error {
 	if len(pending) == 0 {
 		return ctx.Err()
 	}
@@ -100,7 +55,7 @@ func (c *Coordinator) runUnits(ctx context.Context, j *Job, pending []int) error
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for u := range work {
-				if err := c.dispatchUnit(ctx, j, u); err != nil {
+				if err := c.dispatchUnit(ctx, r, u); err != nil {
 					select {
 					case errc <- err:
 					default:
@@ -127,7 +82,7 @@ func (c *Coordinator) runUnits(ctx context.Context, j *Job, pending []int) error
 // avoiding the backend that just failed when any alternative exists.
 // A backend-reported error is the job's own deterministic verdict and
 // fails fast without retries.
-func (c *Coordinator) dispatchUnit(ctx context.Context, j *Job, u int) error {
+func (c *Coordinator) dispatchUnit(ctx context.Context, r *serve.Run, u int) error {
 	lastFailed := -1
 	noBackends := false
 	var lastErr error
@@ -154,12 +109,12 @@ func (c *Coordinator) dispatchUnit(ctx context.Context, j *Job, u int) error {
 		}
 		noBackends = false
 		start := time.Now()
-		payload, err := serve.FetchUnit(ctx, c.httpc, url, j.Spec, u, c.cfg.UnitIdleTimeout)
+		payload, err := serve.FetchUnit(ctx, c.httpc, url, r.Spec, u, c.cfg.UnitIdleTimeout)
 		lat := time.Since(start).Seconds()
 		var remote *serve.RemoteUnitError
 		switch {
 		case err == nil:
-			c.completeUnit(j, u, idx, lat, payload)
+			c.completeUnit(r, u, idx, lat, payload)
 			return nil
 		case errors.As(err, &remote):
 			// The backend ran the unit and reported a deterministic
@@ -173,14 +128,14 @@ func (c *Coordinator) dispatchUnit(ctx context.Context, j *Job, u int) error {
 			// Transport failure: backend died, stalled, or truncated the
 			// stream. Down it (the prober revives it) and retry elsewhere.
 			c.settleUnit(idx, lat, false, true)
-			c.jobLog(j).Warn("unit dispatch failed, retrying",
+			r.Log.Warn("unit dispatch failed, retrying",
 				"unit", u, "backend", url, "attempt", attempt+1, "error", err)
 			lastFailed = idx
 			lastErr = err
 		}
 	}
 	return fmt.Errorf("fleet: unit %d of %s failed after %d attempts: %w",
-		u, j.ID, c.cfg.UnitAttempts, lastErr)
+		u, r.ID, c.cfg.UnitAttempts, lastErr)
 }
 
 // pickBackend asks the scheduler to choose among the live backends,
@@ -226,10 +181,11 @@ func (c *Coordinator) settleUnit(idx int, lat float64, ok, markDown bool) {
 	c.sched.Observe(idx, lat, ok)
 }
 
-// completeUnit records a successful dispatch: latency EWMA, scheduler
-// feedback, the payload itself (guarding against a late duplicate
-// from a retried unit), a checkpoint write, and progress events.
-func (c *Coordinator) completeUnit(j *Job, u, idx int, lat float64, payload []byte) {
+// completeUnit records a successful dispatch: latency EWMA,
+// scheduler feedback, and the payload itself, which the job server
+// checkpoints and announces — unless a late duplicate from a retried
+// unit got there first.
+func (c *Coordinator) completeUnit(r *serve.Run, u, idx int, lat float64, payload []byte) {
 	c.mu.Lock()
 	b := c.backends[idx]
 	b.inflight--
@@ -240,16 +196,10 @@ func (c *Coordinator) completeUnit(j *Job, u, idx int, lat float64, payload []by
 		b.latency = (1-ewmaAlpha)*b.latency + ewmaAlpha*lat
 	}
 	c.sched.Observe(idx, lat, true)
-	if j.units[u] != nil {
+	c.mu.Unlock()
+	if !r.CompleteUnit(u, payload) {
+		c.mu.Lock()
 		c.duplicates++
 		c.mu.Unlock()
-		return
 	}
-	j.units[u] = payload
-	j.done++
-	c.persistLocked(j)
-	done, total := j.done, j.Spec.UnitCount()
-	c.mu.Unlock()
-	j.stream.publish(unitStreamEvent{Job: j.ID, Event: "unit", Unit: done, Of: total})
-	j.stream.publish(progressEvent{Job: j.ID, Event: "progress", Done: done, Total: total})
 }

@@ -5,13 +5,14 @@
 // reassembles the results byte-identically to a single-node run at
 // the same seed.
 //
-// The coordinator deliberately mirrors internal/serve's shape — a
-// bounded admission queue, a worker pool, drain-with-grace, the
-// spsd-checkpoint/1 on-disk format — so operators and tools see one
-// consistent job model whether they talk to one daemon or a fleet.
-// The one structural difference: fleet units complete out of order,
-// so checkpoints store {"unit":N,"payload":...} envelopes instead of
-// the daemon's prefix-ordered raw payloads.
+// The job lifecycle — admission queue, worker pool, cancel, drain,
+// NDJSON streams, checkpoints, the job routes and metrics — is spsd's
+// own serve.Server. The coordinator hands it one serve.Executor, which
+// runs a job's pending units over the backends and assembles them, and
+// one on-disk unit encoding: fleet units complete out of order, so
+// checkpoints store {"unit":N,"payload":...} envelopes instead of
+// spsd's prefix-ordered raw payloads. What stays here is fleet-only:
+// the backends, their health probes, the scheduler, and /fleet.
 package fleet
 
 import (
@@ -23,20 +24,10 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
 	"pbrouter/internal/serve"
-	"pbrouter/internal/stats"
-)
-
-// Admission errors, mapped to HTTP statuses by the handlers.
-var (
-	// ErrQueueFull means the bounded admission queue is at capacity.
-	ErrQueueFull = errors.New("fleet: admission queue full")
-	// ErrDraining means the coordinator is shutting down.
-	ErrDraining = errors.New("fleet: draining, not admitting jobs")
 )
 
 // Config tunes a Coordinator. Backends is required; everything else
@@ -99,71 +90,26 @@ type backend struct {
 // estimate.
 const ewmaAlpha = 0.2
 
-// Job is one coordinated job. Mutable fields are guarded by the
-// Coordinator's mutex; the stream has its own lock.
-type Job struct {
-	ID   string
-	Spec serve.Spec
-
-	State  serve.State
-	Error  string
-	Result []byte // byte-identical to a single-node run at the same seed
-
-	// units holds completed unit payloads indexed by unit number; nil
-	// entries are still pending. done counts the non-nil ones.
-	units []json.RawMessage
-	done  int
-
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
-
-	cancel func()
-	stream *stream
-}
-
-// status snapshots the job in spsd's wire shape; the coordinator's
-// mutex must be held.
-func (j *Job) status() serve.Status {
-	return serve.Status{
-		ID:         j.ID,
-		Kind:       j.Spec.Kind,
-		State:      j.State,
-		Error:      j.Error,
-		UnitsDone:  j.done,
-		UnitsTotal: j.Spec.UnitCount(),
-		HasResult:  len(j.Result) > 0,
-	}
-}
-
-// Coordinator owns the job table, the backend fleet state, and the
-// scheduler. Create with New, start with Start, serve its Handler,
-// stop with Drain.
+// Coordinator owns the backend fleet state and the scheduler, and
+// runs its jobs on a serve.Server. Create with New, start with Start,
+// serve its Handler, stop with Drain.
 type Coordinator struct {
+	srv   *serve.Server
 	cfg   Config
 	log   *slog.Logger
 	httpc *http.Client
 
-	baseCtx    context.Context
-	cancelJobs context.CancelFunc
+	probeCtx  context.Context
+	stopProbe context.CancelFunc
+	probeWG   sync.WaitGroup
 
-	mu         sync.Mutex
+	mu         sync.Mutex // guards the dispatch state below
 	sched      Scheduler
 	rng        *rand.Rand
 	backends   []*backend
-	jobs       map[string]*Job
-	order      []string
-	nextID     int
-	queue      chan *Job
-	draining   bool
-	running    int
 	retries    int // failed dispatch attempts that were retried
 	duplicates int // units completed more than once (late retries)
-	latency    *stats.Histogram
-	latencySum float64
 
-	wg      sync.WaitGroup
-	probeWG sync.WaitGroup
 	started time.Time
 }
 
@@ -180,12 +126,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = len(cfg.Backends)
 	}
@@ -201,9 +141,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = 10 * time.Second
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard,
@@ -217,240 +154,76 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resumed []*Job
-	if cfg.CheckpointDir != "" {
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-			return nil, err
-		}
-		resumed, err = loadFleetCheckpoints(cfg.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:        cfg,
-		log:        log,
-		httpc:      httpc,
-		baseCtx:    ctx,
-		cancelJobs: cancel,
-		sched:      sched,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		jobs:       make(map[string]*Job),
-		queue:      make(chan *Job, cfg.QueueDepth+len(resumed)),
-		latency:    stats.NewHistogram(1e-4, 1.1),
-		started:    time.Now(),
+		cfg:       cfg,
+		log:       log,
+		httpc:     httpc,
+		probeCtx:  ctx,
+		stopProbe: cancel,
+		sched:     sched,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		started:   time.Now(),
 	}
 	for _, url := range cfg.Backends {
 		c.backends = append(c.backends, &backend{url: url, alive: true})
 	}
-	for _, j := range resumed {
-		c.jobs[j.ID] = j
-		c.order = append(c.order, j.ID)
-		if n := jobNum(j.ID); n >= c.nextID {
-			c.nextID = n + 1
-		}
-		if j.State == serve.StateQueued {
-			c.queue <- j
-			c.jobLog(j).Info("job resumed from checkpoint",
-				"units_done", j.done, "units_total", j.Spec.UnitCount())
-		}
+	c.srv, err = serve.NewDaemon(serve.Config{
+		QueueDepth:    cfg.QueueDepth,
+		Workers:       cfg.Workers,
+		CheckpointDir: cfg.CheckpointDir,
+		DrainGrace:    cfg.DrainGrace,
+		Logger:        log,
+	}, serve.Daemon{
+		Name: "spsfleet", Role: "coordinator", IDPrefix: "f", Exec: c.run,
+		EncodeUnits: encodeUnits, DecodeUnits: decodeUnits,
+	})
+	if err != nil {
+		cancel()
+		return nil, err
 	}
 	return c, nil
 }
 
-// jobLog derives the job's structured logger.
-func (c *Coordinator) jobLog(j *Job) *slog.Logger {
-	return c.log.With("job", j.ID, "kind", j.Spec.Kind)
-}
-
-// jobNum parses the numeric part of a fleet job ID ("f000042" → 42),
-// or -1.
-func jobNum(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "f%d", &n); err != nil {
-		return -1
-	}
-	return n
-}
-
 // Start launches the worker pool and the backend health prober.
 func (c *Coordinator) Start() {
-	for i := 0; i < c.cfg.Workers; i++ {
-		c.wg.Add(1)
-		go c.worker()
-	}
+	c.srv.Start()
 	c.probeWG.Add(1)
 	go c.healthLoop()
 }
 
-// Submit validates and admits one job.
-func (c *Coordinator) Submit(spec serve.Spec) (*Job, error) {
-	spec.Normalize()
-	if err := spec.Check(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return nil, ErrDraining
-	}
-	j := &Job{
-		ID:        fmt.Sprintf("f%06d", c.nextID),
-		Spec:      spec,
-		State:     serve.StateQueued,
-		Submitted: time.Now(),
-		units:     make([]json.RawMessage, spec.UnitCount()),
-		stream:    newStream(),
-	}
-	select {
-	case c.queue <- j:
-	default:
-		return nil, ErrQueueFull
-	}
-	c.nextID++
-	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
-	c.persistLocked(j)
-	c.jobLog(j).Info("job queued")
-	return j, nil
-}
-
-// Job returns a job by ID.
-func (c *Coordinator) Job(id string) (*Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
-
-// StatusOf snapshots one job's status.
-func (c *Coordinator) StatusOf(id string) (serve.Status, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return serve.Status{}, false
-	}
-	return j.status(), true
-}
-
-// Statuses snapshots every job in submission order.
-func (c *Coordinator) Statuses() []serve.Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]serve.Status, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id].status())
-	}
-	return out
-}
-
-// Result returns a finished job's result bytes.
-func (c *Coordinator) Result(id string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok || len(j.Result) == 0 {
-		return nil, false
-	}
-	return j.Result, true
-}
-
-// Cancel cancels a job: a queued job goes terminal immediately, a
-// running one is aborted at its next cancellation point.
-func (c *Coordinator) Cancel(id string) (serve.Status, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return serve.Status{}, fmt.Errorf("fleet: no job %q", id)
-	}
-	switch j.State {
-	case serve.StateQueued:
-		c.finishLocked(j, serve.StateCancelled, "cancelled before start", nil)
-	case serve.StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
-	}
-	return j.status(), nil
-}
-
-// worker drains the queue until it closes.
-func (c *Coordinator) worker() {
-	defer c.wg.Done()
-	for j := range c.queue {
-		c.runJob(j)
-	}
-}
-
-// finishLocked moves a job to a terminal state, records its latency,
-// persists it, and closes its stream. Caller holds c.mu.
-func (c *Coordinator) finishLocked(j *Job, st serve.State, msg string, result []byte) {
-	j.State = st
-	j.Error = msg
-	j.Result = result
-	j.Finished = time.Now()
-	j.cancel = nil
-	if !j.Submitted.IsZero() {
-		d := j.Finished.Sub(j.Submitted).Seconds()
-		c.latency.Add(d)
-		c.latencySum += d
-	}
-	c.persistLocked(j)
-	j.stream.publish(stateEvent{Job: j.ID, Event: "state", State: st, Error: msg})
-	j.stream.closeStream()
-	l := c.jobLog(j)
-	if msg != "" {
-		l = l.With("error", msg)
-	}
-	l.Info("job finished", "state", st)
-}
-
 // Drain gracefully stops the coordinator: admission closes, running
 // jobs get the grace period (or until ctx is done) to finish, then
-// stragglers are cancelled so they checkpoint their completed units.
+// stragglers are cancelled so they checkpoint their completed units;
+// last, the health prober stops.
 func (c *Coordinator) Drain(ctx context.Context) {
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		c.wg.Wait()
-		c.probeWG.Wait()
-		return
-	}
-	c.draining = true
-	close(c.queue)
-	c.mu.Unlock()
-	c.log.Info("draining: admission closed", "grace", c.cfg.DrainGrace)
-
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	timer := time.NewTimer(c.cfg.DrainGrace)
-	defer timer.Stop()
-	select {
-	case <-done:
-	case <-timer.C:
-		c.cancelJobs()
-		<-done
-	case <-ctx.Done():
-		c.cancelJobs()
-		<-done
-	}
-	c.cancelJobs() // stops the health prober
+	c.srv.Drain(ctx)
+	c.stopProbe()
 	c.probeWG.Wait()
-	c.log.Info("drained")
 }
+
+// The job API is the underlying serve.Server's.
+
+// Submit validates and admits one job.
+func (c *Coordinator) Submit(spec serve.Spec) (*serve.Job, error) { return c.srv.Submit(spec) }
+
+// Job returns a job by ID.
+func (c *Coordinator) Job(id string) (*serve.Job, bool) { return c.srv.Job(id) }
+
+// StatusOf snapshots one job's status.
+func (c *Coordinator) StatusOf(id string) (serve.Status, bool) { return c.srv.StatusOf(id) }
+
+// Statuses snapshots every job in submission order.
+func (c *Coordinator) Statuses() []serve.Status { return c.srv.Statuses() }
+
+// Result returns a finished job's result bytes.
+func (c *Coordinator) Result(id string) ([]byte, bool) { return c.srv.Result(id) }
+
+// Cancel cancels a queued or running job.
+func (c *Coordinator) Cancel(id string) (serve.Status, error) { return c.srv.Cancel(id) }
 
 // Draining reports whether the coordinator has begun shutting down.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
+func (c *Coordinator) Draining() bool { return c.srv.Draining() }
 
 // healthLoop probes every backend each HealthInterval, reviving
 // backends marked down by failed dispatches once they answer
@@ -461,7 +234,7 @@ func (c *Coordinator) healthLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.probeCtx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -469,7 +242,7 @@ func (c *Coordinator) healthLoop() {
 			c.mu.Lock()
 			url, was := c.backends[i].url, c.backends[i].alive
 			c.mu.Unlock()
-			ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HealthInterval)
+			ctx, cancel := context.WithTimeout(c.probeCtx, c.cfg.HealthInterval)
 			err := serve.CheckHealth(ctx, c.httpc, url)
 			cancel()
 			alive := err == nil
@@ -494,79 +267,37 @@ type unitEnvelope struct {
 	Payload []byte `json:"payload"`
 }
 
-// persistLocked checkpoints the job if persistence is on. Caller
-// holds c.mu.
-func (c *Coordinator) persistLocked(j *Job) {
-	if c.cfg.CheckpointDir == "" {
-		return
-	}
-	cp := serve.Checkpoint{
-		ID:     j.ID,
-		State:  j.State,
-		Error:  j.Error,
-		Spec:   j.Spec,
-		Result: j.Result,
-	}
-	for u, payload := range j.units {
+// encodeUnits stores each completed unit as an envelope carrying its
+// unit number.
+func encodeUnits(units []json.RawMessage) ([]json.RawMessage, error) {
+	var entries []json.RawMessage
+	for u, payload := range units {
 		if payload == nil {
 			continue
 		}
 		env, err := json.Marshal(unitEnvelope{Unit: u, Payload: payload})
 		if err != nil {
-			c.jobLog(j).Warn("checkpoint unit encode failed", "error", err)
-			return
+			return nil, err
 		}
-		cp.Units = append(cp.Units, env)
+		entries = append(entries, env)
 	}
-	if err := serve.WriteCheckpointFile(c.cfg.CheckpointDir, cp); err != nil {
-		c.jobLog(j).Warn("checkpoint write failed", "error", err)
-	}
+	return entries, nil
 }
 
-// loadFleetCheckpoints rebuilds jobs from a checkpoint directory.
-// Jobs checkpointed in a non-terminal state re-enter the queue with
-// their completed units slotted back by unit number.
-func loadFleetCheckpoints(dir string) ([]*Job, error) {
-	cps, err := serve.LoadCheckpointDir(dir)
-	if err != nil {
-		return nil, err
+// decodeUnits slots checkpointed envelopes back by unit number.
+func decodeUnits(entries []json.RawMessage, n int) ([]json.RawMessage, error) {
+	units := make([]json.RawMessage, n)
+	for _, raw := range entries {
+		var env unitEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			return nil, fmt.Errorf("bad unit envelope: %w", err)
+		}
+		if env.Unit < 0 || env.Unit >= n || env.Payload == nil {
+			return nil, fmt.Errorf("unit %d out of range", env.Unit)
+		}
+		if units[env.Unit] == nil {
+			units[env.Unit] = env.Payload
+		}
 	}
-	var jobs []*Job
-	for _, cp := range cps {
-		spec := cp.Spec
-		spec.Normalize()
-		if err := spec.Check(); err != nil {
-			return nil, fmt.Errorf("fleet: checkpoint %s: %w", cp.ID, err)
-		}
-		j := &Job{
-			ID:     cp.ID,
-			Spec:   spec,
-			State:  cp.State,
-			Error:  cp.Error,
-			Result: cp.Result,
-			units:  make([]json.RawMessage, spec.UnitCount()),
-			stream: newStream(),
-		}
-		for _, raw := range cp.Units {
-			var env unitEnvelope
-			if err := json.Unmarshal(raw, &env); err != nil {
-				return nil, fmt.Errorf("fleet: checkpoint %s: bad unit envelope: %w", cp.ID, err)
-			}
-			if env.Unit < 0 || env.Unit >= len(j.units) || env.Payload == nil {
-				return nil, fmt.Errorf("fleet: checkpoint %s: unit %d out of range", cp.ID, env.Unit)
-			}
-			if j.units[env.Unit] == nil {
-				j.units[env.Unit] = env.Payload
-				j.done++
-			}
-		}
-		if !j.State.Terminal() {
-			j.State = serve.StateQueued
-		}
-		if j.State.Terminal() {
-			j.stream.closeStream()
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
+	return units, nil
 }

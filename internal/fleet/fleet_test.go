@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -403,5 +404,27 @@ func TestFleetRejects(t *testing.T) {
 	c := newFleet(t, 1, nil)
 	if _, err := c.Submit(serve.Spec{Kind: serve.Kind("nope")}); err == nil {
 		t.Error("Submit with unknown kind must fail")
+	}
+}
+
+// TestFleetSubmitBodyIsBounded pins the shared submit edge on the
+// coordinator: a body past the 1 MiB bound gets 413 in the usual
+// error envelope.
+func TestFleetSubmitBodyIsBounded(t *testing.T) {
+	c := newFleet(t, 1, nil)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	body := `{"kind":"sim","sim":{"matrix":"` + strings.Repeat("x", 1<<20) + `"}}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("413 body is not the error envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: HTTP %d, want 413", resp.StatusCode)
 	}
 }

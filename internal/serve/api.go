@@ -225,7 +225,7 @@ func (s *Server) handleAPIJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.List(q))
+	WriteJSON(w, http.StatusOK, s.List(q))
 }
 
 func (s *Server) handleAPIJob(w http.ResponseWriter, r *http.Request) {
@@ -234,7 +234,7 @@ func (s *Server) handleAPIJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, d)
+	WriteJSON(w, http.StatusOK, d)
 }
 
 // handleAPISeries serves one sweep point's telemetry series,
@@ -288,11 +288,11 @@ func (s *Server) handleAPITrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAPIServer(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Info())
+	WriteJSON(w, http.StatusOK, s.Info())
 }
 
 func (s *Server) handleAPIQueue(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Queue())
+	WriteJSON(w, http.StatusOK, s.Queue())
 }
 
 // FleetStatus is the wire form of GET /api/v1/fleet: the upstream
@@ -334,7 +334,7 @@ func (s *Server) handleAPIFleet(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // fleetGET fetches one coordinator endpoint with a bounded body read.

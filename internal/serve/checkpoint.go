@@ -100,46 +100,81 @@ func LoadCheckpointDir(dir string) ([]Checkpoint, error) {
 	return cps, nil
 }
 
-// writeCheckpoint persists the job in checkpoint form.
-func writeCheckpoint(dir string, j *Job) error {
-	return WriteCheckpointFile(dir, Checkpoint{
-		Schema: CheckpointSchema,
-		ID:     j.ID,
-		State:  j.State,
-		Error:  j.Error,
-		Spec:   j.Spec,
-		Units:  j.Units,
-		Result: json.RawMessage(j.Result),
-	})
-}
-
-// loadCheckpoints restores the daemon's job table from dir. Jobs that
-// were queued or running when the daemon died come back queued (their
+// loadCheckpoints restores a job table from dir. Jobs that were
+// queued or running when the daemon died come back queued (their
 // completed units intact); terminal jobs come back exactly as they
-// ended.
-func loadCheckpoints(dir string) ([]*Job, error) {
+// ended. Every spec must pass the checks a submission does and carry
+// at most its unit count, or the file is rejected.
+func loadCheckpoints(dir string, d Daemon) ([]*Job, error) {
 	cps, err := LoadCheckpointDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var jobs []*Job
 	for _, cp := range cps {
-		j := &Job{
-			ID:     cp.ID,
-			Spec:   cp.Spec,
-			State:  cp.State,
-			Error:  cp.Error,
-			Units:  cp.Units,
-			Result: []byte(cp.Result),
-			stream: newStream(),
-		}
-		j.Spec.Normalize()
-		if j.State.Terminal() {
-			j.stream.closeStream()
-		} else {
-			j.State = StateQueued
+		j, err := resumeJob(cp, d)
+		if err != nil {
+			return nil, fmt.Errorf("serve: checkpoint %s.json: %w", cp.ID, err)
 		}
 		jobs = append(jobs, j)
 	}
 	return jobs, nil
+}
+
+// resumeJob validates one checkpoint and rebuilds its job.
+func resumeJob(cp Checkpoint, d Daemon) (*Job, error) {
+	cp.Spec.Normalize()
+	if err := cp.Spec.Check(); err != nil {
+		return nil, err
+	}
+	n := cp.Spec.UnitCount()
+	if len(cp.Units) > n {
+		return nil, fmt.Errorf("%d units for a %d-unit job", len(cp.Units), n)
+	}
+	units, err := d.DecodeUnits(cp.Units, n)
+	if err != nil {
+		return nil, err
+	}
+	j := &Job{
+		ID:     cp.ID,
+		Spec:   cp.Spec,
+		State:  cp.State,
+		Error:  cp.Error,
+		Result: cp.Result,
+		units:  units,
+		stream: newStream(),
+	}
+	for _, u := range units {
+		if u != nil {
+			j.done++
+		}
+	}
+	if j.State.Terminal() {
+		j.stream.closeStream()
+	} else {
+		j.State = StateQueued
+	}
+	return j, nil
+}
+
+// spsd completes units in order, so its units always form a prefix
+// and its checkpoints store the raw payloads of that prefix.
+
+// prefixLen counts the completed units before the first pending one.
+func prefixLen(units []json.RawMessage) int {
+	n := 0
+	for n < len(units) && units[n] != nil {
+		n++
+	}
+	return n
+}
+
+func encodePrefix(units []json.RawMessage) ([]json.RawMessage, error) {
+	return units[:prefixLen(units)], nil
+}
+
+func decodePrefix(entries []json.RawMessage, n int) ([]json.RawMessage, error) {
+	units := make([]json.RawMessage, n)
+	copy(units, entries)
+	return units, nil
 }

@@ -11,7 +11,32 @@ import (
 	"pbrouter/internal/web"
 )
 
-// Handler returns the daemon's HTTP API:
+// maxSpecBytes bounds a submitted job spec; larger bodies get 413.
+const maxSpecBytes = 1 << 20
+
+// Handler returns spsd's HTTP API: the job routes (JobRoutes) plus
+//
+//	POST   /units             run one checkpoint unit (fleet dispatch)
+//	GET    /metrics           Prometheus text format
+//
+// and the versioned read-side API under Config.APIPrefix (default
+// /api/v1 — see apiRoutes) and, with Config.UI, the embedded web
+// dashboard at /. Every request passes through the request-ID and
+// access-log middleware.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	s.JobRoutes(mux)
+	mux.HandleFunc("POST /units", s.handleUnits)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.apiRoutes(mux, s.cfg.APIPrefix)
+	if s.cfg.UI {
+		mux.Handle("GET /", http.FileServerFS(web.Assets()))
+	}
+	return s.withRequestLog(mux)
+}
+
+// JobRoutes mounts the job surface every daemon built on Server
+// serves:
 //
 //	POST   /jobs              submit a job spec, 202 + status
 //	GET    /jobs              list every job's status
@@ -19,30 +44,15 @@ import (
 //	DELETE /jobs/{id}         cancel a job
 //	GET    /jobs/{id}/result  the finished job's result JSON, verbatim
 //	GET    /jobs/{id}/stream  NDJSON event stream (follows until done)
-//	POST   /units             run one checkpoint unit (fleet dispatch)
 //	GET    /healthz           liveness (503 once draining)
-//	GET    /metrics           Prometheus text format
-//
-// plus the versioned read-side API under Config.APIPrefix (default
-// /api/v1 — see apiRoutes) and, with Config.UI, the embedded web
-// dashboard at /. Every request passes through the request-ID and
-// access-log middleware.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
+func (s *Server) JobRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("POST /units", s.handleUnits)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.apiRoutes(mux, s.cfg.APIPrefix)
-	if s.cfg.UI {
-		mux.Handle("GET /", http.FileServerFS(web.Assets()))
-	}
-	return s.withRequestLog(mux)
 }
 
 // withRequestLog assigns every request a monotonically increasing ID
@@ -86,8 +96,8 @@ func (w *logResponseWriter) Flush() {
 	}
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v, indented, with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -101,22 +111,27 @@ type apiError struct {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, apiError{Error: msg})
+	WriteJSON(w, status, apiError{Error: msg})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "bad job spec: "+err.Error())
 		return
 	}
 	j, err := s.Submit(spec)
 	switch {
 	case err == nil:
 		st, _ := s.StatusOf(j.ID) // re-snapshot under the lock
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrQueueFull):
@@ -127,7 +142,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Statuses())
+	WriteJSON(w, http.StatusOK, s.Statuses())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -136,7 +151,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -145,7 +160,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -214,5 +229,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -37,10 +38,12 @@ type Job struct {
 	Error  string
 	Result []byte // final result JSON (byte-identical to the CLI twin)
 
-	// Units are the completed checkpoint units in order (validation
-	// case chunks, resilience sweep points). A resumed job replays
-	// them instead of recomputing.
-	Units []json.RawMessage
+	// units holds the completed checkpoint units (validation case
+	// chunks, sweep points) indexed by unit number; nil entries are
+	// pending and done counts the rest. A resumed job replays them
+	// instead of recomputing. spsd's units always form a prefix.
+	units []json.RawMessage
+	done  int
 
 	Submitted time.Time
 	Started   time.Time
@@ -56,6 +59,72 @@ type Job struct {
 	// the CLIs use, so payloads are byte-identical by construction.
 	series map[int]telemetry.Series
 	trace  []byte
+}
+
+// Run is a running job as its Executor sees it.
+type Run struct {
+	ID   string
+	Spec Spec
+	// Emit publishes one event on the job's NDJSON stream.
+	Emit func(v any)
+	Log  *slog.Logger
+
+	s *Server
+	j *Job
+}
+
+// Units snapshots the job's completed units by unit number; nil
+// entries are pending.
+func (r *Run) Units() []json.RawMessage {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	return append([]json.RawMessage(nil), r.j.units...)
+}
+
+// CompleteUnit records unit u's payload, checkpoints the job, and
+// publishes its unit and progress events. It reports false, changing
+// nothing, when u is already done (a late duplicate).
+func (r *Run) CompleteUnit(u int, payload json.RawMessage) bool {
+	done, ok := r.saveUnit(u, payload)
+	if ok {
+		total := len(r.j.units)
+		r.Emit(unitEvent{Job: r.ID, Event: "unit", Unit: done, Of: total})
+		r.Emit(progressEvent{Job: r.ID, Event: "progress", Done: done, Total: total})
+	}
+	return ok
+}
+
+// saveUnit records unit u's payload and checkpoints the job,
+// returning the completed-unit count; false if u was already done.
+func (r *Run) saveUnit(u int, payload json.RawMessage) (done int, ok bool) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	j := r.j
+	if j.units[u] != nil {
+		return j.done, false
+	}
+	j.units[u] = payload
+	j.done++
+	r.s.persistLocked(j)
+	return j.done, true
+}
+
+// saveSeries keeps a sweep point's telemetry series (point 0 for
+// single sims).
+func (r *Run) saveSeries(point int, ser telemetry.Series) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	if r.j.series == nil {
+		r.j.series = make(map[int]telemetry.Series)
+	}
+	r.j.series[point] = ser
+}
+
+// saveTrace keeps the job's packet-lifecycle trace.
+func (r *Run) saveTrace(b []byte) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	r.j.trace = b
 }
 
 // Status is the wire form of a job's state (GET /jobs, GET /jobs/{id}).
@@ -76,8 +145,8 @@ func (j *Job) status() Status {
 		Kind:       j.Spec.Kind,
 		State:      j.State,
 		Error:      j.Error,
-		UnitsDone:  len(j.Units),
-		UnitsTotal: j.Spec.UnitCount(),
+		UnitsDone:  j.done,
+		UnitsTotal: len(j.units),
 		HasResult:  len(j.Result) > 0,
 	}
 }

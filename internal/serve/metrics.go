@@ -4,16 +4,25 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	"pbrouter/internal/corestats"
 )
 
-// handleMetrics renders the daemon's operational metrics in the
-// Prometheus text exposition format: queue depth, in-flight and
-// per-state job counts, and the submit-to-complete latency histogram
-// (stats.Histogram quantiles plus sum/count).
+// handleMetrics renders spsd's operational metrics in the Prometheus
+// text exposition format: the job families, then the event core's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.WriteJobMetrics(w)
+	writeCoreMetrics(w, corestats.Default.Snapshot())
+}
+
+// WriteJobMetrics starts a Prometheus text response with the job
+// families every daemon exports under its name: up, uptime, queue
+// depth, in-flight and per-state job counts, and the
+// submit-to-complete latency histogram (stats.Histogram quantiles
+// plus sum/count).
+func (s *Server) WriteJobMetrics(w http.ResponseWriter) {
 	s.mu.Lock()
 	queueDepth := len(s.queue)
 	queueCap := cap(s.queue)
@@ -33,40 +42,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	uptime := time.Since(s.started).Seconds()
 	s.mu.Unlock()
 
+	p, role := s.d.Name, s.d.Role
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP spsd_up Whether the daemon is serving.\n")
-	fmt.Fprintf(w, "# TYPE spsd_up gauge\n")
-	fmt.Fprintf(w, "spsd_up 1\n")
-	fmt.Fprintf(w, "# HELP spsd_uptime_seconds Daemon uptime.\n")
-	fmt.Fprintf(w, "# TYPE spsd_uptime_seconds counter\n")
-	fmt.Fprintf(w, "spsd_uptime_seconds %g\n", uptime)
-	fmt.Fprintf(w, "# HELP spsd_queue_depth Jobs admitted but not yet running.\n")
-	fmt.Fprintf(w, "# TYPE spsd_queue_depth gauge\n")
-	fmt.Fprintf(w, "spsd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP spsd_queue_capacity Admission queue bound.\n")
-	fmt.Fprintf(w, "# TYPE spsd_queue_capacity gauge\n")
-	fmt.Fprintf(w, "spsd_queue_capacity %d\n", queueCap)
-	fmt.Fprintf(w, "# HELP spsd_jobs_inflight Jobs currently executing.\n")
-	fmt.Fprintf(w, "# TYPE spsd_jobs_inflight gauge\n")
-	fmt.Fprintf(w, "spsd_jobs_inflight %d\n", running)
-	fmt.Fprintf(w, "# HELP spsd_jobs_total Jobs by lifecycle state.\n")
-	fmt.Fprintf(w, "# TYPE spsd_jobs_total gauge\n")
+	fmt.Fprintf(w, "# HELP %s_up Whether the %s is serving.\n", p, role)
+	fmt.Fprintf(w, "# TYPE %s_up gauge\n", p)
+	fmt.Fprintf(w, "%s_up 1\n", p)
+	fmt.Fprintf(w, "# HELP %s_uptime_seconds %s uptime.\n", p, strings.ToUpper(role[:1])+role[1:])
+	fmt.Fprintf(w, "# TYPE %s_uptime_seconds counter\n", p)
+	fmt.Fprintf(w, "%s_uptime_seconds %g\n", p, uptime)
+	fmt.Fprintf(w, "# HELP %s_queue_depth Jobs admitted but not yet running.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_queue_depth gauge\n", p)
+	fmt.Fprintf(w, "%s_queue_depth %d\n", p, queueDepth)
+	fmt.Fprintf(w, "# HELP %s_queue_capacity Admission queue bound.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_queue_capacity gauge\n", p)
+	fmt.Fprintf(w, "%s_queue_capacity %d\n", p, queueCap)
+	fmt.Fprintf(w, "# HELP %s_jobs_inflight Jobs currently executing.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_jobs_inflight gauge\n", p)
+	fmt.Fprintf(w, "%s_jobs_inflight %d\n", p, running)
+	fmt.Fprintf(w, "# HELP %s_jobs_total Jobs by lifecycle state.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_jobs_total gauge\n", p)
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-		fmt.Fprintf(w, "spsd_jobs_total{state=%q} %d\n", st, states[st])
+		fmt.Fprintf(w, "%s_jobs_total{state=%q} %d\n", p, st, states[st])
 	}
-	fmt.Fprintf(w, "# HELP spsd_job_latency_seconds Submit-to-complete latency of finished jobs.\n")
-	fmt.Fprintf(w, "# TYPE spsd_job_latency_seconds summary\n")
+	fmt.Fprintf(w, "# HELP %s_job_latency_seconds Submit-to-complete latency of finished jobs.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_job_latency_seconds summary\n", p)
 	qs := make([]string, 0, len(quantiles))
 	for q := range quantiles {
 		qs = append(qs, q)
 	}
 	sort.Strings(qs)
 	for _, q := range qs {
-		fmt.Fprintf(w, "spsd_job_latency_seconds{quantile=%q} %g\n", q, quantiles[q])
+		fmt.Fprintf(w, "%s_job_latency_seconds{quantile=%q} %g\n", p, q, quantiles[q])
 	}
-	fmt.Fprintf(w, "spsd_job_latency_seconds_sum %g\n", latSum)
-	fmt.Fprintf(w, "spsd_job_latency_seconds_count %d\n", latN)
-	writeCoreMetrics(w, corestats.Default.Snapshot())
+	fmt.Fprintf(w, "%s_job_latency_seconds_sum %g\n", p, latSum)
+	fmt.Fprintf(w, "%s_job_latency_seconds_count %d\n", p, latN)
 }
 
 // writeCoreMetrics renders the event core's process-wide counters:

@@ -58,11 +58,34 @@ type Config struct {
 	FleetURL string
 }
 
+// Executor is the one step that differs between the daemons built on
+// Server: it turns a running job into its result. spsd's executor
+// runs runSpec in process; spsfleet's dispatches the pending units to
+// its backends and assembles them. The return follows runSpec's
+// contract: a *FoundError arrives next to a complete result, and a
+// context error means the run was cancelled.
+type Executor func(ctx context.Context, r *Run) ([]byte, error)
+
+// Daemon is what sets one job server apart from another. New builds
+// spsd's; the fleet coordinator passes its own to NewDaemon.
+type Daemon struct {
+	Name     string // service name and metric prefix, e.g. "spsd"
+	Role     string // what the service is, for metric help, e.g. "daemon"
+	IDPrefix string // job ID prefix, e.g. "j" for j000042
+	Exec     Executor
+	// EncodeUnits turns a job's units (indexed by unit, nil = pending)
+	// into checkpoint entries; DecodeUnits inverts it for a job of n
+	// units. This is the daemon's on-disk unit encoding.
+	EncodeUnits func(units []json.RawMessage) ([]json.RawMessage, error)
+	DecodeUnits func(entries []json.RawMessage, n int) ([]json.RawMessage, error)
+}
+
 // Server owns the job table, the bounded admission queue, and the
 // worker pool. Create with New, start with Start, serve its Handler,
 // and stop with Drain.
 type Server struct {
 	cfg Config
+	d   Daemon
 	log *slog.Logger
 
 	// baseCtx parents every job's context; cancelJobs aborts them all
@@ -89,10 +112,19 @@ type Server struct {
 	started time.Time
 }
 
-// New builds a server, loading any checkpointed jobs from
+// New builds spsd's server, loading any checkpointed jobs from
 // cfg.CheckpointDir: unfinished ones re-enter the queue (ahead of new
 // submissions), finished ones serve their results again.
 func New(cfg Config) (*Server, error) {
+	return NewDaemon(cfg, Daemon{
+		Name: "spsd", Role: "daemon", IDPrefix: "j", Exec: runLocal,
+		EncodeUnits: encodePrefix, DecodeUnits: decodePrefix,
+	})
+}
+
+// NewDaemon builds a server that turns jobs into results with d's
+// executor and checkpoints units with d's encoding.
+func NewDaemon(cfg Config, d Daemon) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -116,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, err
 		}
-		jobs, err := loadCheckpoints(cfg.CheckpointDir)
+		jobs, err := loadCheckpoints(cfg.CheckpointDir, d)
 		if err != nil {
 			return nil, err
 		}
@@ -125,6 +157,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
+		d:          d,
 		log:        log,
 		baseCtx:    ctx,
 		cancelJobs: cancel,
@@ -138,13 +171,13 @@ func New(cfg Config) (*Server, error) {
 	for _, j := range resumed {
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		if n := jobNum(j.ID); n >= s.nextID {
+		if n := s.jobNum(j.ID); n >= s.nextID {
 			s.nextID = n + 1
 		}
 		if j.State == StateQueued {
 			s.queue <- j
 			s.jobLog(j).Info("job resumed from checkpoint",
-				"units_done", len(j.Units), "units_total", j.Spec.UnitCount())
+				"units_done", j.done, "units_total", len(j.units))
 		}
 	}
 	return s, nil
@@ -156,9 +189,9 @@ func (s *Server) jobLog(j *Job) *slog.Logger {
 }
 
 // jobNum parses the numeric part of a job ID ("j000042" → 42), or -1.
-func jobNum(id string) int {
+func (s *Server) jobNum(id string) int {
 	var n int
-	if _, err := fmt.Sscanf(id, "j%d", &n); err != nil {
+	if _, err := fmt.Sscanf(id, s.d.IDPrefix+"%d", &n); err != nil {
 		return -1
 	}
 	return n
@@ -186,10 +219,11 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	j := &Job{
-		ID:        fmt.Sprintf("j%06d", s.nextID),
+		ID:        fmt.Sprintf("%s%06d", s.d.IDPrefix, s.nextID),
 		Spec:      spec,
 		State:     StateQueued,
 		Submitted: time.Now(),
+		units:     make([]json.RawMessage, spec.UnitCount()),
 		stream:    newStream(),
 	}
 	select {
@@ -317,39 +351,13 @@ func (s *Server) runJob(j *Job) {
 	j.State = StateRunning
 	j.Started = time.Now()
 	j.cancel = cancel
-	env := runEnv{
-		id:      j.ID,
-		workers: s.cfg.JobParallelism,
-		units:   append([]json.RawMessage(nil), j.Units...),
-		saveUnit: func(raw json.RawMessage) {
-			s.mu.Lock()
-			j.Units = append(j.Units, raw)
-			s.persistLocked(j)
-			s.mu.Unlock()
-		},
-		saveSeries: func(point int, ser telemetry.Series) {
-			s.mu.Lock()
-			if j.series == nil {
-				j.series = make(map[int]telemetry.Series)
-			}
-			j.series[point] = ser
-			s.mu.Unlock()
-		},
-		saveTrace: func(b []byte) {
-			s.mu.Lock()
-			j.trace = b
-			s.mu.Unlock()
-		},
-		emit: j.stream.publish,
-		log:  s.jobLog(j),
-	}
-	spec := j.Spec
+	run := &Run{ID: j.ID, Spec: j.Spec, Emit: j.stream.publish, Log: s.jobLog(j), s: s, j: j}
 	s.running++
 	s.mu.Unlock()
 
 	j.stream.publish(stateEvent{Job: j.ID, Event: "state", State: StateRunning})
-	env.log.Info("job running")
-	result, err := runSpec(ctx, spec, env)
+	run.Log.Info("job running")
+	result, err := s.d.Exec(ctx, run)
 	cancel()
 
 	s.mu.Lock()
@@ -369,13 +377,33 @@ func (s *Server) runJob(j *Job) {
 			j.cancel = nil
 			s.persistLocked(j)
 			s.jobLog(j).Info("job checkpointed for resume",
-				"units_done", len(j.Units), "units_total", j.Spec.UnitCount())
+				"units_done", j.done, "units_total", len(j.units))
 		} else {
 			s.finishLocked(j, StateCancelled, "cancelled", nil)
 		}
 	default:
 		s.finishLocked(j, StateFailed, err.Error(), nil)
 	}
+}
+
+// runLocal is spsd's Executor: runSpec in process, replaying the
+// completed prefix of units and checkpointing each new one after it.
+func runLocal(ctx context.Context, r *Run) ([]byte, error) {
+	units := r.Units()
+	n := prefixLen(units)
+	return runSpec(ctx, r.Spec, runEnv{
+		id:      r.ID,
+		workers: r.s.cfg.JobParallelism,
+		units:   units[:n],
+		saveUnit: func(raw json.RawMessage) {
+			r.saveUnit(n, raw)
+			n++
+		},
+		saveSeries: r.saveSeries,
+		saveTrace:  r.saveTrace,
+		emit:       r.Emit,
+		log:        r.Log,
+	})
 }
 
 // finishLocked moves a job to a terminal state, records its latency,
@@ -401,13 +429,19 @@ func (s *Server) finishLocked(j *Job, st State, msg string, result []byte) {
 	l.Info("job finished", "state", st)
 }
 
-// persistLocked checkpoints the job if persistence is on. Caller
-// holds s.mu.
+// persistLocked checkpoints the job, its units in the daemon's
+// encoding, if persistence is on. Caller holds s.mu.
 func (s *Server) persistLocked(j *Job) {
 	if s.cfg.CheckpointDir == "" {
 		return
 	}
-	if err := writeCheckpoint(s.cfg.CheckpointDir, j); err != nil {
+	units, err := s.d.EncodeUnits(j.units)
+	if err == nil {
+		err = WriteCheckpointFile(s.cfg.CheckpointDir, Checkpoint{
+			ID: j.ID, State: j.State, Error: j.Error, Spec: j.Spec, Units: units, Result: j.Result,
+		})
+	}
+	if err != nil {
 		s.jobLog(j).Warn("checkpoint write failed", "error", err)
 	}
 }

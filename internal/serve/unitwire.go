@@ -128,8 +128,11 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 	}
 	emit(UnitEvent{Event: UnitEventStart, Unit: req.Unit})
 
-	hbDone := make(chan struct{})
+	// The heartbeat goroutine must be gone before the handler returns:
+	// a write after that races the server recycling the response.
+	hbDone, hbExited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(hbExited)
 		t := time.NewTicker(unitHeartbeat)
 		defer t.Stop()
 		for {
@@ -145,6 +148,7 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	payload, err := RunUnit(r.Context(), req.Spec, req.Unit, s.cfg.JobParallelism)
 	close(hbDone)
+	<-hbExited
 	log := s.log.With("kind", req.Spec.Kind, "unit", req.Unit)
 	if err != nil {
 		emit(UnitEvent{Event: UnitEventError, Unit: req.Unit, Error: err.Error()})
