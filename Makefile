@@ -88,11 +88,14 @@ resil:
 
 # Splitter-policy smoke: the quick policy × workload grid with the
 # validation observer on (see docs/splitpolicy.md) — exits non-zero on
-# any FIFO/conservation violation — plus the static byte-identity and
-# cross-worker determinism pins.
+# any FIFO/conservation violation — whose table must match the
+# checked-in fixture byte for byte, plus every test of the campaign
+# engine and both sweeps (golden tables and per-point series, static ≡
+# nil policy, cross-worker identity).
 split-smoke:
-	$(GO) run ./cmd/spssplit -quick -j 8 -out /dev/null
-	$(GO) test -run 'TestStaticMatchesResilience|TestCampaignWorkerByteIdentity|TestSweepWorkerByteIdentity' -count=1 ./internal/splitpolicy
+	$(GO) run ./cmd/spssplit -quick -j 8 -out /tmp/split_quick.csv
+	cmp internal/splitpolicy/testdata/quick.csv /tmp/split_quick.csv
+	$(GO) test -count=1 ./internal/resilience ./internal/splitpolicy
 
 # Architecture-arena smoke: the quick (architecture × workload) grid
 # with the SPS validation observer on — exits non-zero on any

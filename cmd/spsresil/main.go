@@ -115,6 +115,9 @@ func main() {
 		if *quick {
 			mttr = hz / 6
 		}
+		if err := cli.ValidateMTBF(mtbf, mttr); err != nil {
+			cli.Exit(cli.Outcome{UsageErr: err})
+		}
 		cfg.MTBFPs, cfg.MTTRPs = mtbf, mttr
 	default:
 		cli.Exit(cli.Outcome{UsageErr: fmt.Errorf("unknown -sweep %q (failed-switches|mtbf)", *sweep)})
@@ -126,11 +129,6 @@ func main() {
 	var eventLog *telemetry.EventLog
 	pts := make([]resilience.SweepPoint, 0, cfg.NumPoints())
 	for k := 0; k < cfg.NumPoints(); k++ {
-		if cfg.Mode == resilience.ModeMTBF {
-			if err := cli.ValidateMTBF(cfg.PointMTBF(k), cfg.MTTRPs); err != nil {
-				cli.Exit(cli.Outcome{UsageErr: err})
-			}
-		}
 		pt, rep, err := cfg.RunPoint(context.Background(), k)
 		if err != nil {
 			cli.Exit(cli.Outcome{RunErr: err})

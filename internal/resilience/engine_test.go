@@ -2,7 +2,7 @@ package resilience
 
 import (
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 
 	"pbrouter/internal/hbmswitch"
@@ -74,10 +74,10 @@ func TestAvailabilityTracksSurvivingCapacity(t *testing.T) {
 }
 
 // TestCampaignDeterministicAcrossWorkers is the -j regression: the
-// full report — CSV table, JSON, epoch series, event log — must be
-// byte-identical for 1 and 8 workers.
+// full report — every epoch, the totals, the event log — must be
+// identical for 1 and 8 workers.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
+	run := func(workers int) *Report {
 		c := testCampaign(0.9, 30*sim.Microsecond)
 		c.Workers = workers
 		c.Faults = []Fault{
@@ -89,22 +89,9 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b strings.Builder
-		if err := rep.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Series.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Events.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
+		return rep
 	}
-	if a, b := render(1), render(8); a != b {
+	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
 		t.Fatal("campaign report differs between -j 1 and -j 8")
 	}
 }
@@ -201,5 +188,21 @@ func TestCampaignRejectsBadParameters(t *testing.T) {
 	c.Switch.PFI.N = 16
 	if _, err := c.Run(); err == nil {
 		t.Error("port-count mismatch accepted")
+	}
+	c = testCampaign(0.9, 10*sim.Microsecond)
+	c.Epochs = -1
+	if _, err := c.Run(); err == nil {
+		t.Error("negative epoch count accepted")
+	}
+	// Five equal epochs over a 3 ps horizon: some epoch is empty and
+	// would report zero goodput without an error.
+	c = testCampaign(0.9, 3)
+	c.Epochs = 5
+	if err := c.Check(); err == nil {
+		t.Error("zero-length epoch accepted")
+	}
+	c.Epochs = 3
+	if err := c.Check(); err != nil {
+		t.Errorf("three 1 ps epochs rejected: %v", err)
 	}
 }

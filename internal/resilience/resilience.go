@@ -24,9 +24,11 @@
 //   - FiberDimming: part of one fiber's W wavelengths fail; the flows
 //     riding that fiber shrink to the surviving fraction.
 //
-// Time is sliced into epochs at fault/repair boundaries (Epochs). Each
-// epoch is an independent steady-state measurement of the degraded
-// configuration: every (epoch, surviving switch) pair simulates with a
+// Campaign is the repo's one epoch engine. Time is sliced into epochs
+// at fault/repair boundaries (Epochs) or into equal rehash epochs, and
+// an optional splitter Policy (internal/splitpolicy) may re-hash the
+// fiber→switch assignment at each epoch start. Each epoch is an
+// independent steady-state measurement of the degraded configuration: every (epoch, surviving switch) pair simulates with a
 // seed derived only from its index (the parallel.Seed convention), so
 // a campaign's reports are byte-identical for every -j. In-flight
 // state does not carry across an epoch boundary — each epoch warms up,

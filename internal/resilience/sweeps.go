@@ -106,7 +106,8 @@ func (c SweepConfig) NumPoints() int {
 	return c.MaxFailed + 1
 }
 
-// Check validates the sweep configuration (after Normalize).
+// Check validates the sweep configuration (after Normalize), so a bad
+// sweep fails before its first point runs.
 func (c SweepConfig) Check() error {
 	switch c.Mode {
 	case ModeFailedSwitches:
@@ -117,19 +118,32 @@ func (c SweepConfig) Check() error {
 		if c.MTBFPs <= 0 {
 			return fmt.Errorf("resilience: mtbf sweep needs a positive MTBF, got %v", c.MTBFPs)
 		}
+		if c.MTTRPs <= 0 {
+			return fmt.Errorf("resilience: mtbf sweep needs a positive MTTR, got %v", c.MTTRPs)
+		}
 		if c.Points < 1 {
 			return fmt.Errorf("resilience: mtbf sweep needs at least one point")
+		}
+		// MTBF halves every point, so the last point is the tightest.
+		if last := c.Points - 1; c.PointMTBF(last) < c.MTTRPs {
+			return fmt.Errorf("resilience: mtbf sweep point %d halves MTBF %v to %v, below MTTR %v",
+				last, c.MTBFPs, c.PointMTBF(last), c.MTTRPs)
 		}
 	default:
 		return fmt.Errorf("resilience: unknown sweep mode %q (%s|%s)", c.Mode, ModeFailedSwitches, ModeMTBF)
 	}
-	_, _, err := c.build()
-	return err
+	camp, err := c.Campaign(context.Background())
+	if err != nil {
+		return err
+	}
+	return camp.Check()
 }
 
-// build resolves the SPS and switch configurations exactly as
-// cmd/spsresil always has.
-func (c SweepConfig) build() (sps.Config, hbmswitch.Config, error) {
+// Campaign builds the campaign every sweep point runs, before the
+// point sets its faults (and, for policy sweeps, flows, policy and
+// epochs): the geometry cmd/spsresil has always used — reference WDM
+// stack, 1.1 speedup, 100ns flush — under Poisson IMIX traffic.
+func (c SweepConfig) Campaign(ctx context.Context) (Campaign, error) {
 	spsCfg := sps.Config{
 		N: c.N, F: c.F, H: c.H,
 		WDM:     sps.Reference().WDM,
@@ -139,13 +153,24 @@ func (c SweepConfig) build() (sps.Config, hbmswitch.Config, error) {
 	spsCfg.WDM.Wavelengths = c.Wavelengths
 	spsCfg.WDM.ChannelRate = sim.Rate(c.ChannelGbps * 1e9)
 	if err := spsCfg.Validate(); err != nil {
-		return spsCfg, hbmswitch.Config{}, err
+		return Campaign{}, err
 	}
 	swCfg := hbmswitch.Scaled(c.Stacks, spsCfg.PortRate())
 	swCfg.PFI.N = spsCfg.N
 	swCfg.Speedup = 1.1
 	swCfg.FlushTimeout = 100 * sim.Nanosecond
-	return spsCfg, swCfg, nil
+	return Campaign{
+		SPS:      spsCfg,
+		Switch:   swCfg,
+		Load:     c.Load,
+		Kind:     traffic.Poisson,
+		Sizes:    traffic.IMIX(),
+		Horizon:  c.HorizonPs,
+		Seed:     c.Seed,
+		Workers:  c.Workers,
+		Validate: c.Validate == nil || *c.Validate,
+		Ctx:      ctx,
+	}, nil
 }
 
 // PointMTBF returns the mean time between faults at mtbf-sweep point
@@ -167,21 +192,9 @@ type SweepPoint struct {
 // for callers that stream or print it. The point depends only on
 // (config, k), never on other points.
 func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, error) {
-	spsCfg, swCfg, err := c.build()
+	camp, err := c.Campaign(ctx)
 	if err != nil {
 		return SweepPoint{}, nil, err
-	}
-	camp := Campaign{
-		SPS:      spsCfg,
-		Switch:   swCfg,
-		Load:     c.Load,
-		Kind:     traffic.Poisson,
-		Sizes:    traffic.IMIX(),
-		Horizon:  c.HorizonPs,
-		Seed:     c.Seed,
-		Workers:  c.Workers,
-		Validate: c.Validate == nil || *c.Validate,
-		Ctx:      ctx,
 	}
 	pt := SweepPoint{Index: k}
 	switch c.Mode {
@@ -198,6 +211,7 @@ func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, 
 		if err != nil {
 			return pt, nil, err
 		}
+		rep.Series = rep.AvailabilitySeries()
 		ep := rep.Epochs[0]
 		pt.Values = []float64{
 			float64(k), float64(c.H-k) / float64(c.H),
@@ -208,9 +222,6 @@ func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, 
 		return pt, rep, nil
 	case ModeMTBF:
 		pm := c.PointMTBF(k)
-		if pm <= 0 || c.MTTRPs > pm {
-			return pt, nil, fmt.Errorf("resilience: point %d MTBF %v fell below MTTR %v", k, pm, c.MTTRPs)
-		}
 		sched, err := GenerateSchedule(ScheduleConfig{
 			Seed:          c.Seed,
 			Horizon:       c.HorizonPs,
@@ -220,11 +231,11 @@ func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, 
 			ChannelWeight: 2,
 			GroupWeight:   2,
 			FiberWeight:   1,
-			Switches:      spsCfg.H,
-			Channels:      swCfg.PFI.Channels,
-			Groups:        swCfg.PFI.Groups(),
-			Ribbons:       spsCfg.N,
-			Fibers:        spsCfg.F,
+			Switches:      camp.SPS.H,
+			Channels:      camp.Switch.PFI.Channels,
+			Groups:        camp.Switch.PFI.Groups(),
+			Ribbons:       camp.SPS.N,
+			Fibers:        camp.SPS.F,
 		})
 		if err != nil {
 			return pt, nil, err
@@ -234,6 +245,7 @@ func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, 
 		if err != nil {
 			return pt, nil, err
 		}
+		rep.Series = rep.AvailabilitySeries()
 		minCap := 1.0
 		for _, ep := range rep.Epochs {
 			if ep.CapacityFraction < minCap {

@@ -8,11 +8,14 @@
 // from the resilience layer, and at each epoch boundary may re-hash
 // the assignment — always through optics.Splitter.Reassign, which
 // enforces the evenness invariant, and always under the validate
-// harness's FIFO/conservation invariants on every transition.
+// harness's FIFO/conservation invariants on every transition. The
+// policies implement resilience.Policy and run on resilience.Campaign,
+// the repo's one epoch engine; this package keeps only the policies
+// and the policy × workload sweep.
 //
 // The policy set mirrors internal/fleet/sched.go's strategy lineup:
-// static (the paper's baseline — never rehashes, byte-identical to the
-// plain splitter), leastloaded (greedy longest-processing-time),
+// static (the paper's baseline — never rehashes, so the engine runs
+// the plain splitter), leastloaded (greedy longest-processing-time),
 // p2c (power-of-two-choices), and adaptive (pheromone weights
 // reinforced on under-loaded switches, evaporated on over-loaded
 // ones, with weighted-random placement so a recovering switch earns
@@ -25,6 +28,7 @@ import (
 	"strings"
 
 	"pbrouter/internal/optics"
+	"pbrouter/internal/resilience"
 	"pbrouter/internal/sim"
 )
 
@@ -42,54 +46,13 @@ func PolicyNames() []string {
 	return []string{PolicyStatic, PolicyLeastLoaded, PolicyP2C, PolicyAdaptive}
 }
 
-// Sense is what a policy sees at an epoch boundary: the coming
-// epoch's offered fiber loads (known — the splitter is upstream of
-// the switches, an operator measures per-fiber optical power), the
-// previous epoch's measured per-switch outcome, and the health state.
-type Sense struct {
-	Epoch int
-	// FiberLoad[ribbon][fiber] is the coming epoch's offered load in
-	// fiber-capacity units (dimming already applied).
-	FiberLoad [][]float64
-	// SwitchLoad is the previous epoch's offered load per switch as a
-	// fraction of switch capacity; nil before the first epoch ran.
-	SwitchLoad []float64
-	// DeliveredBytes and QueuePeak are the previous epoch's hbmswitch
-	// occupancy measurements per switch (delivered bytes; tail-SRAM
-	// high water in bytes); nil before the first epoch ran.
-	DeliveredBytes []int64
-	QueuePeak      []int64
-	// PredictedLoad is the engine's one-step forecast of per-switch
-	// load: an EWMA over every previous epoch's SwitchLoad. Policies
-	// that act on it react to the trend rather than the last sample;
-	// nil before the first epoch ran. Maintained without random draws,
-	// so ignoring it keeps a policy's RNG stream untouched.
-	PredictedLoad []float64
-	// Alive marks the surviving switches for the coming epoch.
-	Alive []bool
-}
-
-// Policy decides the fiber→switch assignment for each epoch.
-// Implementations are not goroutine-safe; the engine serializes all
-// calls (epochs are sequential — only the per-switch simulations
-// inside an epoch run in parallel).
-type Policy interface {
-	// Name returns the canonical policy name.
-	Name() string
-	// Rehash returns the next epoch's assignment table, or nil to keep
-	// the current splitter unchanged (the static baseline). The engine
-	// installs non-nil tables via optics.Splitter.Reassign.
-	Rehash(sp *optics.Splitter, sense Sense, rng *sim.RNG) [][]int
-	// Observe feeds the epoch's measured outcome back after it ran;
-	// adaptive policies learn from it, the rest ignore it.
-	Observe(sense Sense)
-}
-
-// NewPolicy builds the named policy.
-func NewPolicy(name string) (Policy, error) {
+// NewPolicy builds the named policy. The static policy is the nil
+// resilience.Policy: the engine then runs the paper's seeded splitter,
+// degraded at the deployment seed under faults.
+func NewPolicy(name string) (resilience.Policy, error) {
 	switch name {
 	case PolicyStatic:
-		return staticPolicy{}, nil
+		return nil, nil
 	case PolicyLeastLoaded:
 		return leastLoadedPolicy{}, nil
 	case PolicyP2C:
@@ -101,18 +64,6 @@ func NewPolicy(name string) (Policy, error) {
 			name, strings.Join(PolicyNames(), "|"))
 	}
 }
-
-// staticPolicy is the paper's baseline: the assignment never moves.
-// The engine falls back to the plain splitter (and, under faults, to
-// optics.Splitter.Degrade at the deployment seed), so a static run is
-// byte-identical to the pre-policy code path.
-type staticPolicy struct{}
-
-func (staticPolicy) Name() string { return PolicyStatic }
-func (staticPolicy) Rehash(*optics.Splitter, Sense, *sim.RNG) [][]int {
-	return nil
-}
-func (staticPolicy) Observe(Sense) {}
 
 // liveSwitches returns the indices of surviving switches; a nil mask
 // means all alive.
@@ -195,7 +146,7 @@ type placer struct {
 	acc    []float64
 }
 
-func newPlacer(sp *optics.Splitter, sense Sense) *placer {
+func newPlacer(sp *optics.Splitter, sense resilience.Sense) *placer {
 	p := &placer{h: sp.H, acc: make([]float64, sp.H)}
 	q := quota(sp.F, sp.H, sense.Alive, sense.SwitchLoad)
 	p.assign = make([][]int, sp.N)
@@ -231,9 +182,9 @@ func (p *placer) place(ref fiberRef, sw int) {
 // is a pure function of the sensed loads.
 type leastLoadedPolicy struct{}
 
-func (leastLoadedPolicy) Name() string  { return PolicyLeastLoaded }
-func (leastLoadedPolicy) Observe(Sense) {}
-func (leastLoadedPolicy) Rehash(sp *optics.Splitter, sense Sense, rng *sim.RNG) [][]int {
+func (leastLoadedPolicy) Name() string             { return PolicyLeastLoaded }
+func (leastLoadedPolicy) Observe(resilience.Sense) {}
+func (leastLoadedPolicy) Rehash(sp *optics.Splitter, sense resilience.Sense, rng *sim.RNG) [][]int {
 	p := newPlacer(sp, sense)
 	scratch := make([]int, 0, sp.H)
 	for _, ref := range sortedFibers(sense.FiberLoad) {
@@ -254,9 +205,9 @@ func (leastLoadedPolicy) Rehash(sp *optics.Splitter, sense Sense, rng *sim.RNG) 
 // without scanning every switch — Mitzenmacher's classic trade.
 type p2cPolicy struct{}
 
-func (p2cPolicy) Name() string  { return PolicyP2C }
-func (p2cPolicy) Observe(Sense) {}
-func (p2cPolicy) Rehash(sp *optics.Splitter, sense Sense, rng *sim.RNG) [][]int {
+func (p2cPolicy) Name() string             { return PolicyP2C }
+func (p2cPolicy) Observe(resilience.Sense) {}
+func (p2cPolicy) Rehash(sp *optics.Splitter, sense resilience.Sense, rng *sim.RNG) [][]int {
 	p := newPlacer(sp, sense)
 	scratch := make([]int, 0, sp.H)
 	for _, ref := range sortedFibers(sense.FiberLoad) {
@@ -313,7 +264,7 @@ func (a *adaptivePolicy) weight(sw int) float64 {
 // Observe updates pheromones from the epoch's measured per-switch
 // load: under the mean reinforces (scaled by how far under), over the
 // mean evaporates.
-func (a *adaptivePolicy) Observe(sense Sense) {
+func (a *adaptivePolicy) Observe(sense resilience.Sense) {
 	if len(sense.SwitchLoad) == 0 {
 		return
 	}
@@ -347,7 +298,7 @@ func (a *adaptivePolicy) Observe(sense Sense) {
 	}
 }
 
-func (a *adaptivePolicy) Rehash(sp *optics.Splitter, sense Sense, rng *sim.RNG) [][]int {
+func (a *adaptivePolicy) Rehash(sp *optics.Splitter, sense resilience.Sense, rng *sim.RNG) [][]int {
 	p := newPlacer(sp, sense)
 	scratch := make([]int, 0, sp.H)
 	for _, ref := range sortedFibers(sense.FiberLoad) {

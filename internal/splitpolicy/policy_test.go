@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pbrouter/internal/optics"
+	"pbrouter/internal/resilience"
 	"pbrouter/internal/sim"
 )
 
@@ -12,6 +13,12 @@ func TestNewPolicyNames(t *testing.T) {
 		p, err := NewPolicy(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if name == PolicyStatic {
+			if p != nil {
+				t.Fatalf("static policy is %T, want nil (the engine's static splitter)", p)
+			}
+			continue
 		}
 		if p.Name() != name {
 			t.Fatalf("policy %q reports name %q", name, p.Name())
@@ -51,7 +58,7 @@ func TestQuotaEvenAndDeadAware(t *testing.T) {
 
 // sense for an adversarial pattern: first alpha fibers of every ribbon
 // hot, rest idle.
-func adversarialSense(n, f, alpha int) Sense {
+func adversarialSense(n, f, alpha int) resilience.Sense {
 	fl := make([][]float64, n)
 	for r := range fl {
 		fl[r] = make([]float64, f)
@@ -59,7 +66,7 @@ func adversarialSense(n, f, alpha int) Sense {
 			fl[r][i] = 1.0
 		}
 	}
-	return Sense{FiberLoad: fl}
+	return resilience.Sense{FiberLoad: fl}
 }
 
 func policySplitter(t *testing.T, n, f, h int) *optics.Splitter {
@@ -147,7 +154,7 @@ func TestLeastLoadedDeterministic(t *testing.T) {
 // under-loaded one's rise, and both stay clamped to [tauMin, tauMax].
 func TestAdaptivePheromones(t *testing.T) {
 	a := newAdaptivePolicy()
-	sense := Sense{SwitchLoad: []float64{0.9, 0.1, 0.5, 0.5}}
+	sense := resilience.Sense{SwitchLoad: []float64{0.9, 0.1, 0.5, 0.5}}
 	a.Observe(sense)
 	if a.weight(0) >= tauInit {
 		t.Fatalf("hot switch weight %g did not evaporate", a.weight(0))

@@ -10,7 +10,6 @@ import (
 	"pbrouter/internal/sim"
 	"pbrouter/internal/sps"
 	"pbrouter/internal/telemetry"
-	"pbrouter/internal/traffic"
 )
 
 // The policy-sweep library behind cmd/spssplit and the serving
@@ -123,32 +122,29 @@ func (c SweepConfig) Check() error {
 				w, strings.Join(WorkloadNames(), "|"))
 		}
 	}
-	if c.Epochs < 1 {
-		return fmt.Errorf("splitpolicy: need at least one epoch, got %d", c.Epochs)
+	camp, err := c.campaign(context.Background())
+	if err != nil {
+		return err
 	}
-	_, _, err := c.build()
-	return err
+	return camp.Check()
 }
 
-// build resolves the SPS and switch configurations, the resilience
-// sweep's conventions (reference WDM stack, 1.1 speedup, 100ns flush).
-func (c SweepConfig) build() (sps.Config, hbmswitch.Config, error) {
-	spsCfg := sps.Config{
+// campaign builds the resilience sweep's campaign for this grid's
+// geometry, sliced into c.Epochs equal rehash epochs.
+func (c SweepConfig) campaign(ctx context.Context) (resilience.Campaign, error) {
+	camp, err := resilience.SweepConfig{
 		N: c.N, F: c.F, H: c.H,
-		WDM:     sps.Reference().WDM,
-		Pattern: sps.Reference().Pattern,
-		Seed:    sps.Reference().Seed,
-	}
-	spsCfg.WDM.Wavelengths = c.Wavelengths
-	spsCfg.WDM.ChannelRate = sim.Rate(c.ChannelGbps * 1e9)
-	if err := spsCfg.Validate(); err != nil {
-		return spsCfg, hbmswitch.Config{}, err
-	}
-	swCfg := hbmswitch.Scaled(c.Stacks, spsCfg.PortRate())
-	swCfg.PFI.N = spsCfg.N
-	swCfg.Speedup = 1.1
-	swCfg.FlushTimeout = 100 * sim.Nanosecond
-	return spsCfg, swCfg, nil
+		Wavelengths: c.Wavelengths,
+		ChannelGbps: c.ChannelGbps,
+		Stacks:      c.Stacks,
+		Load:        c.Load,
+		HorizonPs:   c.HorizonPs,
+		Seed:        c.Seed,
+		Workers:     c.Workers,
+		Validate:    c.Validate,
+	}.Campaign(ctx)
+	camp.Epochs = c.Epochs
+	return camp, err
 }
 
 // pointInputs builds the flow population and fault schedule for a
@@ -205,40 +201,26 @@ type SweepPoint struct {
 // with the underlying campaign report (per-epoch split.policy.*
 // series) for callers that stream or print it. The point depends only
 // on (config, k), never on other points.
-func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, error) {
+func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *resilience.Report, error) {
 	pt := SweepPoint{Index: k, TimePs: sim.Time(k)}
 	if k < 0 || k >= c.NumPoints() {
 		return pt, nil, fmt.Errorf("splitpolicy: point %d outside grid of %d", k, c.NumPoints())
 	}
-	spsCfg, swCfg, err := c.build()
+	camp, err := c.campaign(ctx)
 	if err != nil {
 		return pt, nil, err
 	}
-	policy, workload := c.PointPolicy(k), c.PointWorkload(k)
-	flows, faults, err := c.pointInputs(workload, spsCfg, swCfg)
-	if err != nil {
+	if camp.Policy, err = NewPolicy(c.PointPolicy(k)); err != nil {
 		return pt, nil, err
 	}
-	camp := Campaign{
-		SPS:      spsCfg,
-		Switch:   swCfg,
-		Policy:   policy,
-		Flows:    flows,
-		Load:     c.Load,
-		Faults:   faults,
-		Kind:     traffic.Poisson,
-		Sizes:    traffic.IMIX(),
-		Horizon:  c.HorizonPs,
-		Epochs:   c.Epochs,
-		Seed:     c.Seed,
-		Workers:  c.Workers,
-		Validate: c.Validate == nil || *c.Validate,
-		Ctx:      ctx,
+	if camp.Flows, camp.Faults, err = c.pointInputs(c.PointWorkload(k), camp.SPS, camp.Switch); err != nil {
+		return pt, nil, err
 	}
 	rep, err := camp.Run()
 	if err != nil {
 		return pt, nil, err
 	}
+	rep.Series = rep.PolicySeries()
 	viol := len(rep.Violations())
 	pt.Values = []float64{
 		float64(k / len(c.Workloads)), float64(k % len(c.Workloads)),

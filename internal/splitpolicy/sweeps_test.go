@@ -56,6 +56,13 @@ func TestSweepChecksRejectBadGrids(t *testing.T) {
 	if err := c.Check(); err == nil {
 		t.Fatal("negative epochs accepted")
 	}
+	// {"horizon_ps":3,"epochs":5}: an empty epoch would report zero
+	// goodput without an error, so admission must refuse it.
+	c = quickSweep(nil, nil)
+	c.HorizonPs, c.Epochs = 3, 5
+	if err := c.Check(); err == nil {
+		t.Fatal("zero-length epochs accepted")
+	}
 }
 
 // TestSweepAdaptiveBeatsStatic runs the static × adaptive adversarial
