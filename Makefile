@@ -99,11 +99,14 @@ split-smoke:
 
 # Architecture-arena smoke: the quick (architecture × workload) grid
 # with the SPS validation observer on — exits non-zero on any
-# invariant violation — plus the cross-worker byte-identity, column
-# stream-identity, and heavy-tail separation pins (docs/workloads.md).
+# invariant violation — whose table must match the checked-in fixture
+# byte for byte, plus the per-cell series fixtures, cross-worker
+# byte-identity, column stream-identity, and heavy-tail separation
+# pins (docs/workloads.md).
 arch-smoke:
-	$(GO) run ./cmd/spsarch -quick -j 8 -out /dev/null
-	$(GO) test -run 'TestGridContract|TestWorkerByteIdentity|TestColumnStreamIdentity|TestHeavyTailSeparation' -count=1 ./internal/arch
+	$(GO) run ./cmd/spsarch -quick -j 8 -out /tmp/arch_quick.csv
+	cmp internal/arch/testdata/quick.csv /tmp/arch_quick.csv
+	$(GO) test -run 'TestQuickSweepMatchesFixtures|TestGridContract|TestWorkerByteIdentity|TestColumnStreamIdentity|TestHeavyTailSeparation' -count=1 ./internal/arch
 
 # Serving smoke: build the real binaries, run an actual spsd daemon,
 # submit one job of each kind, and require every result byte-identical
