@@ -76,8 +76,8 @@ func main() {
 	}
 
 	cfg := arch.SweepConfig{
-		Archs:        splitList(*archs),
-		Workloads:    splitList(*workloads),
+		Archs:        cli.List(*archs),
+		Workloads:    cli.List(*workloads),
 		N:            *n,
 		H:            *h,
 		Stacks:       *stacks,
@@ -132,16 +132,7 @@ func main() {
 			c.rep.Cell.QueuePeak, c.rep.Cell.ReorderPeak, c.rep.Cell.LossFrac, c.rep.Cell.OEOStages)
 	}
 	table, violations := cfg.Assemble(pts)
-
-	path := *out
-	if *jsonOut && path != "-" && !strings.HasSuffix(path, ".json") {
-		path += ".json"
-	}
-	if *jsonOut && path == "-" {
-		if err := table.WriteJSON(os.Stdout); err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-	} else if err := cli.WriteSeries(path, table); err != nil {
+	if err := cli.WriteTable(*out, *jsonOut, table); err != nil {
 		cli.Exit(cli.Outcome{RunErr: err})
 	}
 	if *validate && violations > 0 {
@@ -152,18 +143,4 @@ func main() {
 		o.Violations = violations
 	}
 	cli.Exit(o)
-}
-
-// splitList parses a comma-separated flag; empty means default-all.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -44,12 +44,12 @@ func TestParseKinds(t *testing.T) {
 	}
 }
 
-// TestQuickSpecsAreValid pins that every kind the load generator can
-// emit passes the daemon's own admission checks, and that an unknown
-// kind is an error rather than some other kind's spec.
+// TestQuickSpecsAreValid pins that the load generator can emit every
+// kind the daemon accepts, that each passes the daemon's own admission
+// checks, and that an unknown kind is an error rather than some other
+// kind's spec.
 func TestQuickSpecsAreValid(t *testing.T) {
-	for _, k := range []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate,
-		serve.KindResilience, serve.KindSplit, serve.KindArch} {
+	for _, k := range serve.Kinds {
 		spec, err := quickSpec(k, 42)
 		if err != nil {
 			t.Fatalf("quickSpec(%s): %v", k, err)
@@ -117,8 +117,7 @@ func TestRunOneReportsFailedJob(t *testing.T) {
 func TestRunOneEveryKind(t *testing.T) {
 	base := newDaemon(t)
 	client := &http.Client{Timeout: 30 * time.Second}
-	for _, k := range []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate,
-		serve.KindResilience, serve.KindSplit, serve.KindArch} {
+	for _, k := range serve.Kinds {
 		spec, err := quickSpec(k, 3)
 		if err != nil {
 			t.Fatal(err)

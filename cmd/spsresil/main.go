@@ -95,12 +95,7 @@ func main() {
 		MaxFailed:   *maxFailed,
 		Points:      *points,
 	}
-	switch *sweep {
-	case resilience.ModeFailedSwitches:
-		if *maxFailed >= *h {
-			cli.Exit(cli.Outcome{UsageErr: fmt.Errorf("-max-failed %d: must leave at least one of %d switches alive", *maxFailed, *h)})
-		}
-	case resilience.ModeMTBF:
+	if *sweep == resilience.ModeMTBF {
 		mtbf, err := cli.MTBF(*mtbfFlag, *faultRate)
 		if *quick && *mtbfFlag == "" && *faultRate == 0 {
 			mtbf, err = hz/3, nil
@@ -115,13 +110,10 @@ func main() {
 		if *quick {
 			mttr = hz / 6
 		}
-		if err := cli.ValidateMTBF(mtbf, mttr); err != nil {
-			cli.Exit(cli.Outcome{UsageErr: err})
-		}
 		cfg.MTBFPs, cfg.MTTRPs = mtbf, mttr
-	default:
-		cli.Exit(cli.Outcome{UsageErr: fmt.Errorf("unknown -sweep %q (failed-switches|mtbf)", *sweep)})
 	}
+	// Check covers the rest: the sweep mode, -max-failed leaving a
+	// switch alive, and MTBF halving to no less than MTTR.
 	if err := cfg.Check(); err != nil {
 		cli.Exit(cli.Outcome{UsageErr: err})
 	}
@@ -153,16 +145,7 @@ func main() {
 		}
 	}
 	table, violations := cfg.Assemble(pts)
-
-	path := *out
-	if *jsonOut && path != "-" && !strings.HasSuffix(path, ".json") {
-		path += ".json"
-	}
-	if *jsonOut && path == "-" {
-		if err := table.WriteJSON(os.Stdout); err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-	} else if err := cli.WriteSeries(path, table); err != nil {
+	if err := cli.WriteTable(*out, *jsonOut, table); err != nil {
 		cli.Exit(cli.Outcome{RunErr: err})
 	}
 	if *events != "" && eventLog != nil {

@@ -50,7 +50,6 @@ func main() {
 		burst    = flag.Float64("burst-ratio", 0, "onoff peak/mean load ratio >= 1 (0 = default)")
 		wlReplay = flag.String("replay-ndjson", "", "NDJSON workload trace (with -workload replay)")
 		refresh  = flag.Bool("refresh", false, "enable the REFsb refresh scheduler")
-		sched    = flag.String("sched", "wheel", "event-queue implementation: wheel|heap (byte-identical output; heap is the legacy differential baseline)")
 		jsonOut  = flag.Bool("json", false, "write the report as JSON to stdout (the serving daemon's wire format) instead of the human summary")
 
 		telemetryOut = flag.String("telemetry", "", "write simulated-time telemetry to this file (.json for JSON, else CSV; - for stdout)")
@@ -85,12 +84,9 @@ func main() {
 		Load: *load, Matrix: *matrix, Sizes: *sizes, Arrival: *arrival,
 		HorizonPs: hz, Seed: *seed, Speedup: *speedup, Shadow: *shadow,
 		Pad: pad, Bypass: bypass, Stacks: *stacks, Refresh: *refresh,
-		Sched: *sched, CoreProbes: *coreProbes,
+		CoreProbes: *coreProbes,
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		cli.Exit(cli.Outcome{UsageErr: err})
-	}
+	cfg := spec.Config()
 
 	sw, err := hbmswitch.New(cfg)
 	if err != nil {

@@ -70,8 +70,8 @@ func main() {
 	}
 
 	cfg := splitpolicy.SweepConfig{
-		Policies:  splitList(*policies),
-		Workloads: splitList(*workloads),
+		Policies:  cli.List(*policies),
+		Workloads: cli.List(*workloads),
 		N:         *n, F: *f, H: *h,
 		Wavelengths: *waves,
 		ChannelGbps: *chGbps,
@@ -116,16 +116,7 @@ func main() {
 			rep.Rehashes, rep.MovedFibers, rep.GoodputGbps)
 	}
 	table, violations := cfg.Assemble(pts)
-
-	path := *out
-	if *jsonOut && path != "-" && !strings.HasSuffix(path, ".json") {
-		path += ".json"
-	}
-	if *jsonOut && path == "-" {
-		if err := table.WriteJSON(os.Stdout); err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-	} else if err := cli.WriteSeries(path, table); err != nil {
+	if err := cli.WriteTable(*out, *jsonOut, table); err != nil {
 		cli.Exit(cli.Outcome{RunErr: err})
 	}
 	if *validate && violations > 0 {
@@ -136,18 +127,4 @@ func main() {
 		o.Violations = violations
 	}
 	cli.Exit(o)
-}
-
-// splitList parses a comma-separated flag; empty means default-all.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -190,15 +190,9 @@ func (c SweepConfig) buildStream(wIdx int) (traffic.Stream, *traffic.Matrix, err
 	return s, m, nil
 }
 
-// SweepPoint is the serializable outcome of one grid cell — the
-// checkpoint unit. Values holds the cell's table columns except the
-// cross-point p99_vs_oq column, which Assemble derives.
-type SweepPoint struct {
-	Index           int       `json:"index"`
-	TimePs          sim.Time  `json:"time_ps"`
-	Values          []float64 `json:"values"`
-	TotalViolations int       `json:"total_violations"`
-}
+// SweepPoint is one grid cell's outcome, the checkpoint unit; its
+// cross-point p99_vs_oq column is derived by Assemble.
+type SweepPoint = telemetry.SweepPoint
 
 // Report carries one cell's full outcome for callers that stream or
 // print it: the unified cell metrics, the arch.* telemetry series

@@ -36,6 +36,18 @@ func ParseDuration(s string) (sim.Time, error) {
 	return 0, fmt.Errorf("duration %q needs a unit (ps|ns|us|ms|s)", s)
 }
 
+// List parses a comma-separated flag into its trimmed, non-empty
+// items; an empty flag gives nil (the caller's default-all).
+func List(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
+}
+
 // Matrix builds a traffic matrix from its flag name.
 func Matrix(name string, n int, load float64) (*traffic.Matrix, error) {
 	switch name {

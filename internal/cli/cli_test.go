@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"strings"
 	"testing"
 
 	"pbrouter/internal/sim"
@@ -79,5 +80,14 @@ func TestArrivalNames(t *testing.T) {
 	}
 	if _, err := Arrival("nope"); err == nil {
 		t.Fatal("unknown arrival accepted")
+	}
+}
+
+func TestList(t *testing.T) {
+	if got := List(""); got != nil {
+		t.Errorf("List(\"\") = %q, want nil", got)
+	}
+	if got := strings.Join(List(" sps, ,oq,"), "|"); got != "sps|oq" {
+		t.Errorf("List trims and drops empty items: got %q", got)
 	}
 }

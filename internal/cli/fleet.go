@@ -15,11 +15,7 @@ import (
 // host; at least one is required.
 func ParseBackends(csv string) ([]string, error) {
 	var backends []string
-	for _, part := range strings.Split(csv, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range List(csv) {
 		u, err := url.Parse(part)
 		if err != nil {
 			return nil, fmt.Errorf("-backends %q: %v", part, err)

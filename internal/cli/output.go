@@ -29,6 +29,20 @@ func WriteSeries(path string, s telemetry.Series) error {
 	return f.Close()
 }
 
+// WriteTable writes a sweep table as the sweep commands' -out and
+// -json flags ask: asJSON forces JSON, to stdout for "-" and otherwise
+// to path with a ".json" suffix added when missing; without it the
+// table goes through WriteSeries.
+func WriteTable(path string, asJSON bool, table telemetry.Series) error {
+	if asJSON && path == "-" {
+		return table.WriteJSON(os.Stdout)
+	}
+	if asJSON && !strings.HasSuffix(path, ".json") {
+		path += ".json"
+	}
+	return WriteSeries(path, table)
+}
+
 // WriteTrace writes Chrome trace-event JSON to path ("-" for stdout);
 // the file opens directly in Perfetto (ui.perfetto.dev).
 func WriteTrace(path string, t *telemetry.Tracer) error {

@@ -67,3 +67,22 @@ func TestWriteTrace(t *testing.T) {
 		t.Error("unwritable path accepted")
 	}
 }
+
+func TestWriteTableJSONAddsSuffix(t *testing.T) {
+	s := telemetry.Series{Names: []string{"a"}, Times: []sim.Time{1}, Rows: [][]float64{{10}}}
+	dir := t.TempDir()
+	if err := WriteTable(filepath.Join(dir, "grid"), true, s); err != nil {
+		t.Fatal(err)
+	}
+	js, err := os.ReadFile(filepath.Join(dir, "grid.json"))
+	if err != nil || !strings.Contains(string(js), "{") {
+		t.Errorf("-json without .json suffix: %v %q", err, js)
+	}
+	if err := WriteTable(filepath.Join(dir, "grid.csv"), false, s); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "grid.csv"))
+	if err != nil || strings.Contains(string(csv), "{") {
+		t.Errorf("CSV table: %v %q", err, csv)
+	}
+}

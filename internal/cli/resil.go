@@ -6,9 +6,10 @@ import (
 	"pbrouter/internal/sim"
 )
 
-// This file holds the resilience-campaign flag validation shared by
-// the availability tools: the -mtbf/-mttr pair and the -fault-rate
-// alternative resolve through one code path with one error wording.
+// This file holds the resilience-campaign flag parsing shared by the
+// availability tools: -mtbf and its -fault-rate alternative resolve
+// through one code path with one error wording. The resolved MTBF/MTTR
+// pair is checked by resilience.SweepConfig.Check.
 
 // ValidateFaultRate checks a -fault-rate flag (mean fault arrivals per
 // simulated second). Zero means "not set"; negative rates are always
@@ -16,24 +17,6 @@ import (
 func ValidateFaultRate(rate float64) error {
 	if rate < 0 {
 		return fmt.Errorf("-fault-rate %g: fault arrival rate cannot be negative", rate)
-	}
-	return nil
-}
-
-// ValidateMTBF checks a resolved MTBF/MTTR pair: both must be
-// positive, and the mean repair must not exceed the mean time between
-// faults — a package that fails faster than it repairs spends the
-// campaign mostly dead, which is almost certainly a typo in the
-// units.
-func ValidateMTBF(mtbf, mttr sim.Time) error {
-	if mtbf <= 0 {
-		return fmt.Errorf("-mtbf: mean time between faults must be positive, got %v", mtbf)
-	}
-	if mttr <= 0 {
-		return fmt.Errorf("-mttr: mean time to repair must be positive, got %v", mttr)
-	}
-	if mttr > mtbf {
-		return fmt.Errorf("-mttr %v exceeds -mtbf %v: repairs must keep up with faults (check the units)", mttr, mtbf)
 	}
 	return nil
 }

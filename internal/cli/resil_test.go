@@ -18,25 +18,6 @@ func TestValidateFaultRate(t *testing.T) {
 	}
 }
 
-func TestValidateMTBF(t *testing.T) {
-	if err := ValidateMTBF(40*sim.Microsecond, 10*sim.Microsecond); err != nil {
-		t.Errorf("valid pair rejected: %v", err)
-	}
-	cases := []struct {
-		name       string
-		mtbf, mttr sim.Time
-	}{
-		{"zero mtbf", 0, sim.Microsecond},
-		{"zero mttr", sim.Microsecond, 0},
-		{"repair slower than failure", 10 * sim.Microsecond, 40 * sim.Microsecond},
-	}
-	for _, c := range cases {
-		if err := ValidateMTBF(c.mtbf, c.mttr); err == nil {
-			t.Errorf("%s: accepted mtbf=%v mttr=%v", c.name, c.mtbf, c.mttr)
-		}
-	}
-}
-
 func TestMTBFResolvesFlagAlternatives(t *testing.T) {
 	got, err := MTBF("40us", 0)
 	if err != nil || got != 40*sim.Microsecond {

@@ -177,15 +177,9 @@ func (c SweepConfig) Campaign(ctx context.Context) (Campaign, error) {
 // k: the configured MTBF halved k times.
 func (c SweepConfig) PointMTBF(k int) sim.Time { return c.MTBFPs >> uint(k) }
 
-// SweepPoint is the serializable outcome of one sweep point — the
-// checkpoint unit. Values holds the point's table columns except any
-// cross-point column (goodput_vs_baseline), which Assemble derives.
-type SweepPoint struct {
-	Index           int       `json:"index"`
-	TimePs          sim.Time  `json:"time_ps"`
-	Values          []float64 `json:"values"`
-	TotalViolations int       `json:"total_violations"`
-}
+// SweepPoint is one sweep point's outcome, the checkpoint unit; its
+// cross-point goodput_vs_baseline column is derived by Assemble.
+type SweepPoint = telemetry.SweepPoint
 
 // RunPoint executes sweep point k and returns its outcome together
 // with the underlying campaign report (per-epoch series, event log)

@@ -58,10 +58,7 @@ func TestAPISeriesTraceAndResultMatchCLISerializers(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Normalize()
-	cfg, err := spec.Sim.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := spec.Sim.Config()
 	sw, err := hbmswitch.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -123,11 +123,11 @@ func loadCheckpoints(dir string, d Daemon) ([]*Job, error) {
 
 // resumeJob validates one checkpoint and rebuilds its job.
 func resumeJob(cp Checkpoint, d Daemon) (*Job, error) {
-	cp.Spec.Normalize()
-	if err := cp.Spec.Check(); err != nil {
+	k, err := admit(&cp.Spec)
+	if err != nil {
 		return nil, err
 	}
-	n := cp.Spec.UnitCount()
+	n := k.units()
 	if len(cp.Units) > n {
 		return nil, fmt.Errorf("%d units for a %d-unit job", len(cp.Units), n)
 	}

@@ -10,17 +10,16 @@ import (
 )
 
 // TestDashboardKnowsEveryKind pins the contract between the job-kind
-// registry and the embedded dashboard: every Kind the daemon accepts
-// must be filterable in the job list, composable in the scenario
-// composer, and have a composer schema — otherwise a new kind is
-// submittable over the API but invisible in the UI.
+// list (Kinds) and the embedded dashboard: every Kind the daemon
+// accepts must be filterable in the job list, composable in the
+// scenario composer, and have a composer schema — otherwise a new kind
+// is submittable over the API but invisible in the UI.
 func TestDashboardKnowsEveryKind(t *testing.T) {
 	assets := web.Assets()
 	index := mustAsset(t, assets, "index.html")
 	composer := mustAsset(t, assets, "composer.js")
 
-	kinds := []Kind{KindSim, KindSweep, KindValidate, KindResilience, KindSplit, KindArch}
-	for _, k := range kinds {
+	for _, k := range Kinds {
 		opt := "<option>" + string(k) + "</option>"
 		if n := strings.Count(index, opt); n < 2 {
 			t.Errorf("kind %q appears %d times as %s in index.html; want it in both the job filter and the composer", k, n, opt)

@@ -82,31 +82,24 @@ func (r *Run) Units() []json.RawMessage {
 }
 
 // CompleteUnit records unit u's payload, checkpoints the job, and
-// publishes its unit and progress events. It reports false, changing
-// nothing, when u is already done (a late duplicate).
+// publishes its unit and progress events, both counting completed
+// units. It reports false, changing nothing, when u is already done
+// (a late duplicate).
 func (r *Run) CompleteUnit(u int, payload json.RawMessage) bool {
-	done, ok := r.saveUnit(u, payload)
-	if ok {
-		total := len(r.j.units)
-		r.Emit(unitEvent{Job: r.ID, Event: "unit", Unit: done, Of: total})
-		r.Emit(progressEvent{Job: r.ID, Event: "progress", Done: done, Total: total})
-	}
-	return ok
-}
-
-// saveUnit records unit u's payload and checkpoints the job,
-// returning the completed-unit count; false if u was already done.
-func (r *Run) saveUnit(u int, payload json.RawMessage) (done int, ok bool) {
 	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
 	j := r.j
 	if j.units[u] != nil {
-		return j.done, false
+		r.s.mu.Unlock()
+		return false
 	}
 	j.units[u] = payload
 	j.done++
+	done, total := j.done, len(j.units)
 	r.s.persistLocked(j)
-	return j.done, true
+	r.s.mu.Unlock()
+	r.Emit(unitEvent{Job: r.ID, Event: "unit", Unit: done, Of: total})
+	r.Emit(progressEvent{Job: r.ID, Event: "progress", Done: done, Total: total})
+	return true
 }
 
 // saveSeries keeps a sweep point's telemetry series (point 0 for

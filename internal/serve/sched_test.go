@@ -9,17 +9,16 @@ import (
 )
 
 // simJSON runs one SimSpec end to end — the exact spssim -json / spsd
-// "sim" job path — and returns the report's wire bytes.
-func simJSON(t *testing.T, spec SimSpec) []byte {
+// "sim" job path — on the given event queue and returns the report's
+// wire bytes.
+func simJSON(t *testing.T, spec SimSpec, algo sim.Algorithm) []byte {
 	t.Helper()
 	spec.Normalize()
 	if err := spec.Check(); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := spec.Config()
+	cfg.Sched = algo
 	sw, err := hbmswitch.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +57,8 @@ func TestSimSchedWheelHeapByteIdentical(t *testing.T) {
 			Load: tc.load, Matrix: tc.matrix, Seed: tc.seed,
 			Stacks: 1, HorizonPs: 5 * sim.Microsecond,
 		}
-		wheelSpec, heapSpec := spec, spec
-		wheelSpec.Sched = "wheel"
-		heapSpec.Sched = "heap"
-		wheel := simJSON(t, wheelSpec)
-		heap := simJSON(t, heapSpec)
+		wheel := simJSON(t, spec, sim.Wheel)
+		heap := simJSON(t, spec, sim.Heap)
 		if !bytes.Equal(wheel, heap) {
 			t.Errorf("seed %d %s: wheel and heap reports differ (%d vs %d bytes)",
 				tc.seed, tc.matrix, len(wheel), len(heap))
@@ -70,15 +66,5 @@ func TestSimSchedWheelHeapByteIdentical(t *testing.T) {
 		if len(wheel) == 0 {
 			t.Errorf("seed %d %s: empty report", tc.seed, tc.matrix)
 		}
-	}
-}
-
-// TestSimSpecSchedRejected checks that a bad sched name fails spec
-// validation rather than silently falling back to the default.
-func TestSimSpecSchedRejected(t *testing.T) {
-	spec := SimSpec{Sched: "fifo"}
-	spec.Normalize()
-	if err := spec.Check(); err == nil {
-		t.Fatal("sched=fifo passed Check")
 	}
 }

@@ -209,8 +209,8 @@ func (s *Server) Start() {
 // place; the returned job is queued (checkpointed first when
 // persistence is on).
 func (s *Server) Submit(spec Spec) (*Job, error) {
-	spec.Normalize()
-	if err := spec.Check(); err != nil {
+	k, err := admit(&spec)
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -223,7 +223,7 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		Spec:      spec,
 		State:     StateQueued,
 		Submitted: time.Now(),
-		units:     make([]json.RawMessage, spec.UnitCount()),
+		units:     make([]json.RawMessage, k.units()),
 		stream:    newStream(),
 	}
 	select {
@@ -387,22 +387,18 @@ func (s *Server) runJob(j *Job) {
 }
 
 // runLocal is spsd's Executor: runSpec in process, replaying the
-// completed prefix of units and checkpointing each new one after it.
+// completed prefix of units and recording each new one after it
+// through Run.CompleteUnit, as the fleet coordinator does.
 func runLocal(ctx context.Context, r *Run) ([]byte, error) {
 	units := r.Units()
-	n := prefixLen(units)
 	return runSpec(ctx, r.Spec, runEnv{
-		id:      r.ID,
-		workers: r.s.cfg.JobParallelism,
-		units:   units[:n],
-		saveUnit: func(raw json.RawMessage) {
-			r.saveUnit(n, raw)
-			n++
-		},
+		id:         r.ID,
+		workers:    r.s.cfg.JobParallelism,
+		units:      units[:prefixLen(units)],
+		saveUnit:   r.CompleteUnit,
 		saveSeries: r.saveSeries,
 		saveTrace:  r.saveTrace,
 		emit:       r.Emit,
-		log:        r.Log,
 	})
 }
 

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 
 	"pbrouter/internal/arch"
 	"pbrouter/internal/cli"
@@ -45,6 +46,9 @@ const (
 	KindArch       Kind = "arch"       // cross-architecture arena (architecture × workload grid)
 )
 
+// Kinds lists every job kind the daemon accepts.
+var Kinds = []Kind{KindSim, KindSweep, KindValidate, KindResilience, KindSplit, KindArch}
+
 // Spec is a job specification as submitted to POST /jobs: a kind plus
 // that kind's parameters. Unset parameters normalize to the matching
 // CLI flag defaults, so {"kind":"sim"} runs exactly what a bare
@@ -59,82 +63,79 @@ type Spec struct {
 	Arch       *arch.SweepConfig        `json:"arch,omitempty"`
 }
 
-// Normalize fills the active sub-spec (creating it if absent) with its
-// CLI defaults. Inactive sub-specs are left alone and ignored.
-func (s *Spec) Normalize() {
+// subSpec is what every kind's parameters provide.
+type subSpec interface {
+	Normalize()
+	Check() error
+}
+
+// active returns the kind's sub-spec, created empty when absent, or
+// nil for an unknown kind. Inactive sub-specs are left alone and
+// ignored.
+func (s *Spec) active() subSpec {
 	switch s.Kind {
 	case KindSim:
-		if s.Sim == nil {
-			s.Sim = &SimSpec{}
-		}
-		s.Sim.Normalize()
+		return orNew(&s.Sim)
 	case KindSweep:
-		if s.Sweep == nil {
-			s.Sweep = &SweepSpec{}
-		}
-		s.Sweep.Normalize()
+		return orNew(&s.Sweep)
 	case KindValidate:
-		if s.Validate == nil {
-			s.Validate = &ValidateSpec{}
-		}
-		s.Validate.Normalize()
+		return orNew(&s.Validate)
 	case KindResilience:
-		if s.Resilience == nil {
-			s.Resilience = &resilience.SweepConfig{}
-		}
-		s.Resilience.Normalize()
+		return orNew(&s.Resilience)
 	case KindSplit:
-		if s.Split == nil {
-			s.Split = &splitpolicy.SweepConfig{}
-		}
-		s.Split.Normalize()
+		return orNew(&s.Split)
 	case KindArch:
-		if s.Arch == nil {
-			s.Arch = &arch.SweepConfig{}
-		}
-		s.Arch.Normalize()
+		return archSpec{orNew(&s.Arch)}
+	}
+	return nil
+}
+
+// orNew returns *p, first pointing it at a zero value when it is nil.
+func orNew[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+// Normalize fills the active sub-spec (creating it if absent) with its
+// CLI defaults.
+func (s *Spec) Normalize() {
+	if sub := s.active(); sub != nil {
+		sub.Normalize()
 	}
 }
 
 // Check validates the spec after Normalize.
 func (s Spec) Check() error {
-	switch s.Kind {
-	case KindSim:
-		return s.Sim.Check()
-	case KindSweep:
-		return s.Sweep.Check()
-	case KindValidate:
-		return s.Validate.Check()
-	case KindResilience:
-		return s.Resilience.Check()
-	case KindSplit:
-		return s.Split.Check()
-	case KindArch:
-		return s.Arch.Check()
-	default:
-		return fmt.Errorf("serve: unknown job kind %q (%s|%s|%s|%s|%s|%s)",
-			s.Kind, KindSim, KindSweep, KindValidate, KindResilience, KindSplit, KindArch)
+	sub := s.active()
+	if sub == nil {
+		names := make([]string, len(Kinds))
+		for i, k := range Kinds {
+			names[i] = string(k)
+		}
+		return fmt.Errorf("serve: unknown job kind %q (%s)", s.Kind, strings.Join(names, "|"))
 	}
+	return sub.Check()
 }
 
 // UnitCount returns how many checkpoint units the job runs: resumable
-// kinds report their unit count (validate: 16-case chunks, resilience:
-// sweep points), atomic kinds one. Units are the granularity both of
+// kinds report their unit count (validate: 16-case chunks, the point
+// sweeps: points), atomic kinds one. Units are the granularity both of
 // the daemon's mid-job checkpoints and of the fleet coordinator's
-// dispatch (see RunUnit).
-func (s Spec) UnitCount() int {
-	switch s.Kind {
-	case KindValidate:
-		return (s.Validate.Cases + validateChunk - 1) / validateChunk
-	case KindResilience:
-		return s.Resilience.NumPoints()
-	case KindSplit:
-		return s.Split.NumPoints()
-	case KindArch:
-		return s.Arch.NumPoints()
-	default:
-		return 1
+// dispatch (see RunUnit). The spec must be normalized and checked.
+func (s Spec) UnitCount() int { return s.kind().units() }
+
+// archSpec is an arch sub-spec as the daemon admits it: the arena's
+// own checks, and no replay trace read from a path the submitter
+// names on the daemon's (or, under a fleet, every backend's) disk.
+type archSpec struct{ *arch.SweepConfig }
+
+func (a archSpec) Check() error {
+	if a.ReplayPath != "" {
+		return fmt.Errorf("arch: replay_path %q is not accepted: the daemon synthesizes the replay trace (spsarch -replay reads trace files)", a.ReplayPath)
 	}
+	return a.SweepConfig.Check()
 }
 
 // SimSpec parameterizes a "sim" job exactly like cmd/spssim's flags;
@@ -152,7 +153,6 @@ type SimSpec struct {
 	Bypass    *bool    `json:"bypass,omitempty"`  // HBM bypass (default on)
 	Stacks    int      `json:"stacks,omitempty"`  // HBM stacks (4 = reference)
 	Refresh   bool     `json:"refresh,omitempty"` // REFsb refresh scheduler
-	Sched     string   `json:"sched,omitempty"`   // event queue: wheel (default) | heap
 
 	// TraceSample, when positive, records a packet-lifecycle Chrome
 	// trace (one packet in N) retrievable from the trace endpoint —
@@ -211,11 +211,7 @@ func (s *SimSpec) Check() error {
 	if s.TraceSample < 0 {
 		return fmt.Errorf("sim: trace_sample must not be negative, got %d", s.TraceSample)
 	}
-	cfg, err := s.Config()
-	if err != nil {
-		return err
-	}
-	if _, err := cli.Matrix(s.Matrix, cfg.PFI.N, s.Load); err != nil {
+	if _, err := cli.Matrix(s.Matrix, s.Config().PFI.N, s.Load); err != nil {
 		return err
 	}
 	if _, err := cli.Sizes(s.Sizes); err != nil {
@@ -230,7 +226,7 @@ func (s *SimSpec) Check() error {
 // Config resolves the switch configuration exactly as cmd/spssim
 // builds it from the equivalent flags; the command and the daemon
 // share this path so the two can never drift.
-func (s *SimSpec) Config() (hbmswitch.Config, error) {
+func (s *SimSpec) Config() hbmswitch.Config {
 	cfg := hbmswitch.Reference()
 	if s.Stacks != 4 {
 		cfg = hbmswitch.Scaled(s.Stacks, sim.Rate(float64(cfg.PortRate)*float64(s.Stacks)/4))
@@ -240,12 +236,7 @@ func (s *SimSpec) Config() (hbmswitch.Config, error) {
 	cfg.Policy = core.Policy{PadFrames: *s.Pad, BypassHBM: *s.Bypass}
 	cfg.FlushTimeout = 100 * sim.Nanosecond
 	cfg.EnableRefresh = s.Refresh
-	algo, err := sim.ParseAlgorithm(s.Sched)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Sched = algo
-	return cfg, nil
+	return cfg
 }
 
 // NewStream builds the seeded traffic stream for the spec.

@@ -1,268 +1,40 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-
-	"pbrouter/internal/arch"
-	"pbrouter/internal/parallel"
-	"pbrouter/internal/resilience"
-	"pbrouter/internal/splitpolicy"
-	"pbrouter/internal/validate"
 )
 
-// Unit extraction: every job decomposes into UnitCount independent,
-// self-contained units — the exact granularity the daemon checkpoints
-// at (validate: 16-case chunks, resilience: sweep points; sim and
-// sweep are atomic, one unit). RunUnit executes one unit anywhere (any
-// worker count, any process, any machine) and AssembleUnits rebuilds
-// the job result from the complete unit set through the same
-// serializers the CLIs use, so a sharded run is byte-identical to a
-// single-node run at the same seed. The fleet coordinator
-// (internal/fleet) is built on this pair.
-
-// validateRange returns the case range [lo, hi) of validate unit u.
-func validateRange(cases, u int) (lo, hi int) {
-	lo = u * validateChunk
-	hi = lo + validateChunk
-	if hi > cases {
-		hi = cases
-	}
-	return lo, hi
-}
-
-// runValidateUnit runs one validate unit — validateChunk consecutive
-// self-contained cases — and returns the outcomes in index order.
-func runValidateUnit(ctx context.Context, opts validate.SweepOptions, u int) ([]validate.CaseOutcome, error) {
-	lo, hi := validateRange(opts.Cases, u)
-	if lo >= hi {
-		return nil, fmt.Errorf("serve: validate unit %d out of range (cases %d)", u, opts.Cases)
-	}
-	return parallel.MapCtx(ctx, parallel.Workers(opts.Workers), hi-lo,
-		func(i int) (validate.CaseOutcome, error) {
-			return validate.RunCase(opts, lo+i), nil
-		})
-}
+// RunUnit and AssembleUnits expose the job-kind contract (jobKind)
+// across processes: a unit runs anywhere — any worker count, process
+// or machine — and the complete unit set assembles to the single-node
+// bytes. The fleet coordinator (internal/fleet) is built on this pair.
 
 // RunUnit executes unit u of the spec and returns its raw checkpoint
 // payload: a []validate.CaseOutcome chunk for validate jobs, a
-// resilience.SweepPoint for resilience jobs, and the full result JSON
+// telemetry.SweepPoint for the point sweeps, and the full result JSON
 // for the atomic kinds (sim, sweep; their only unit is 0). The spec
 // must be normalized and checked. Units depend only on (spec, u):
 // payloads are identical wherever and however often they run.
 func RunUnit(ctx context.Context, spec Spec, u, workers int) (json.RawMessage, error) {
-	n := spec.UnitCount()
-	if u < 0 || u >= n {
+	k := spec.kind()
+	if n := k.units(); u < 0 || u >= n {
 		return nil, fmt.Errorf("serve: unit %d out of range 0..%d", u, n-1)
 	}
-	switch spec.Kind {
-	case KindValidate:
-		opts := spec.Validate.Options(workers)
-		chunk, err := runValidateUnit(ctx, opts, u)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(chunk)
-	case KindResilience:
-		c := *spec.Resilience
-		c.Workers = workers
-		pt, _, err := c.RunPoint(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(pt)
-	case KindSplit:
-		c := *spec.Split
-		c.Workers = workers
-		pt, _, err := c.RunPoint(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(pt)
-	case KindArch:
-		c := *spec.Arch
-		c.Workers = workers
-		pt, _, err := c.RunPoint(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(pt)
-	default:
-		// Atomic kinds: the unit payload is the result itself. A
-		// *FoundError still carries complete result bytes; assembly
-		// re-derives the verdict from them.
-		env := runEnv{id: "unit", workers: workers, emit: func(any) {}}
-		result, err := runSpec(ctx, spec, env)
-		var found *FoundError
-		if err != nil && !errors.As(err, &found) {
-			return nil, err
-		}
-		return result, nil
-	}
-}
-
-// assembleValidate serializes the sweep result from the complete
-// outcome list, mirroring spsvalidate's exit semantics: failing cases
-// make the job fail with the full result attached.
-func assembleValidate(opts validate.SweepOptions, outcomes []validate.CaseOutcome) ([]byte, error) {
-	res := validate.Assemble(opts, outcomes)
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	if res.Failures > 0 {
-		return buf.Bytes(), &FoundError{N: res.Failures, What: "failing cases"}
-	}
-	return buf.Bytes(), nil
-}
-
-// assembleResilience serializes the sweep table from the complete
-// point list, mirroring spsresil's exit semantics.
-func assembleResilience(c resilience.SweepConfig, pts []resilience.SweepPoint) ([]byte, error) {
-	table, violations := c.Assemble(pts)
-	var buf bytes.Buffer
-	if err := table.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	if (c.Validate == nil || *c.Validate) && violations > 0 {
-		return buf.Bytes(), &FoundError{N: violations, What: "invariant violations"}
-	}
-	return buf.Bytes(), nil
+	return k.run(ctx, u, runEnv{id: "unit", workers: workers, emit: func(any) {}})
 }
 
 // AssembleUnits rebuilds the job result from the raw payloads of
-// units 0..UnitCount-1, in unit order. It runs the same merge paths
-// an uninterrupted daemon run uses (validate.Assemble,
-// resilience.SweepConfig.Assemble, the CLI serializers), so the bytes
-// are identical to a single-node run at the same seed. Like runSpec,
-// it returns a *FoundError next to the complete result when the run
-// itself found violations or failures.
+// units 0..UnitCount-1, in unit order. It runs the merge path an
+// uninterrupted daemon run uses, so the bytes are identical to a
+// single-node run at the same seed. Like runSpec, it returns a
+// *FoundError next to the complete result when the run itself found
+// violations or failures.
 func AssembleUnits(spec Spec, units []json.RawMessage) ([]byte, error) {
-	if got, want := len(units), spec.UnitCount(); got != want {
+	k := spec.kind()
+	if got, want := len(units), k.units(); got != want {
 		return nil, fmt.Errorf("serve: assemble %s: have %d units, want %d", spec.Kind, got, want)
 	}
-	switch spec.Kind {
-	case KindValidate:
-		outcomes, err := decodeValidateUnits(units)
-		if err != nil {
-			return nil, err
-		}
-		return assembleValidate(spec.Validate.Options(0), outcomes)
-	case KindResilience:
-		pts, err := decodeResilienceUnits(units)
-		if err != nil {
-			return nil, err
-		}
-		return assembleResilience(*spec.Resilience, pts)
-	case KindSplit:
-		pts, err := decodeSplitUnits(units)
-		if err != nil {
-			return nil, err
-		}
-		return assembleSplit(*spec.Split, pts)
-	case KindArch:
-		pts, err := decodeArchUnits(units)
-		if err != nil {
-			return nil, err
-		}
-		return assembleArch(*spec.Arch, pts)
-	case KindSim:
-		// The unit is the report JSON; recover the invariant-violation
-		// verdict runSim derives from the in-memory report.
-		var rep struct {
-			Errors []string `json:"errors"`
-		}
-		if err := json.Unmarshal(units[0], &rep); err != nil {
-			return nil, fmt.Errorf("serve: assemble sim: corrupt unit payload: %w", err)
-		}
-		if len(rep.Errors) > 0 {
-			return units[0], &FoundError{N: len(rep.Errors), What: "invariant violations"}
-		}
-		return units[0], nil
-	default: // KindSweep: atomic, never a FoundError
-		return units[0], nil
-	}
-}
-
-// decodeValidateUnits flattens checkpointed case chunks.
-func decodeValidateUnits(units []json.RawMessage) ([]validate.CaseOutcome, error) {
-	var outcomes []validate.CaseOutcome
-	for _, u := range units {
-		var chunk []validate.CaseOutcome
-		if err := json.Unmarshal(u, &chunk); err != nil {
-			return nil, fmt.Errorf("serve: corrupt validate checkpoint unit: %w", err)
-		}
-		outcomes = append(outcomes, chunk...)
-	}
-	return outcomes, nil
-}
-
-// decodeResilienceUnits decodes checkpointed sweep points.
-func decodeResilienceUnits(units []json.RawMessage) ([]resilience.SweepPoint, error) {
-	var pts []resilience.SweepPoint
-	for _, u := range units {
-		var pt resilience.SweepPoint
-		if err := json.Unmarshal(u, &pt); err != nil {
-			return nil, fmt.Errorf("serve: corrupt resilience checkpoint unit: %w", err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// assembleSplit serializes the policy-sweep table from the complete
-// point list, mirroring spssplit's exit semantics.
-func assembleSplit(c splitpolicy.SweepConfig, pts []splitpolicy.SweepPoint) ([]byte, error) {
-	table, violations := c.Assemble(pts)
-	var buf bytes.Buffer
-	if err := table.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	if (c.Validate == nil || *c.Validate) && violations > 0 {
-		return buf.Bytes(), &FoundError{N: violations, What: "invariant violations"}
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeSplitUnits decodes checkpointed policy-sweep points.
-func decodeSplitUnits(units []json.RawMessage) ([]splitpolicy.SweepPoint, error) {
-	var pts []splitpolicy.SweepPoint
-	for _, u := range units {
-		var pt splitpolicy.SweepPoint
-		if err := json.Unmarshal(u, &pt); err != nil {
-			return nil, fmt.Errorf("serve: corrupt split checkpoint unit: %w", err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// assembleArch serializes the arena grid table from the complete cell
-// list, mirroring spsarch's exit semantics.
-func assembleArch(c arch.SweepConfig, pts []arch.SweepPoint) ([]byte, error) {
-	table, violations := c.Assemble(pts)
-	var buf bytes.Buffer
-	if err := table.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	if (c.Validate == nil || *c.Validate) && violations > 0 {
-		return buf.Bytes(), &FoundError{N: violations, What: "invariant violations"}
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeArchUnits decodes checkpointed arena grid cells.
-func decodeArchUnits(units []json.RawMessage) ([]arch.SweepPoint, error) {
-	var pts []arch.SweepPoint
-	for _, u := range units {
-		var pt arch.SweepPoint
-		if err := json.Unmarshal(u, &pt); err != nil {
-			return nil, fmt.Errorf("serve: corrupt arch checkpoint unit: %w", err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+	return k.assemble(units)
 }

@@ -89,12 +89,12 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad unit request: "+err.Error())
 		return
 	}
-	req.Spec.Normalize()
-	if err := req.Spec.Check(); err != nil {
+	k, err := admit(&req.Spec)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if n := req.Spec.UnitCount(); req.Unit < 0 || req.Unit >= n {
+	if n := k.units(); req.Unit < 0 || req.Unit >= n {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unit %d out of range 0..%d", req.Unit, n-1))
 		return

@@ -58,18 +58,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm parses "wheel" or "heap".
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "", "wheel":
-		return Wheel, nil
-	case "heap":
-		return Heap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler algorithm %q (want wheel|heap)", s)
-	}
-}
-
 // Scheduler is a deterministic discrete-event executor. The zero value
 // is ready to use at time 0 and runs on the timing wheel; call
 // SetAlgorithm(Heap) before scheduling anything to get the legacy

@@ -194,24 +194,9 @@ func TestWheelRunUntilRepeatedClamps(t *testing.T) {
 	}
 }
 
-// TestSetAlgorithm covers the config-switch surface: parsing, string
-// names, and the pending-events guard.
+// TestSetAlgorithm covers the config-switch surface: string names and
+// the pending-events guard.
 func TestSetAlgorithm(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Algorithm
-		ok   bool
-	}{
-		{"", Wheel, true},
-		{"wheel", Wheel, true},
-		{"heap", Heap, true},
-		{"fifo", 0, false},
-	} {
-		got, err := ParseAlgorithm(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
 	if Wheel.String() != "wheel" || Heap.String() != "heap" {
 		t.Fatalf("algorithm names: %v, %v", Wheel, Heap)
 	}

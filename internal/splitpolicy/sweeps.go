@@ -187,15 +187,9 @@ func (c SweepConfig) pointInputs(workload string, spsCfg sps.Config, swCfg hbmsw
 	}
 }
 
-// SweepPoint is the serializable outcome of one grid point — the
-// checkpoint unit. Values holds the point's table columns except the
-// cross-point mom_vs_static column, which Assemble derives.
-type SweepPoint struct {
-	Index           int       `json:"index"`
-	TimePs          sim.Time  `json:"time_ps"`
-	Values          []float64 `json:"values"`
-	TotalViolations int       `json:"total_violations"`
-}
+// SweepPoint is one grid point's outcome, the checkpoint unit; its
+// cross-point mom_vs_static column is derived by Assemble.
+type SweepPoint = telemetry.SweepPoint
 
 // RunPoint executes grid point k and returns its outcome together
 // with the underlying campaign report (per-epoch split.policy.*

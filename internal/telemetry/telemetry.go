@@ -173,6 +173,18 @@ type Series struct {
 	Rows  [][]float64 // len(Times) rows of len(Names) values
 }
 
+// SweepPoint is the serializable outcome of one point of a point
+// sweep (resilience, split-policy, arena): the checkpoint unit the
+// serving daemon stores and reassembles. Values holds the point's table
+// row except any cross-point column, which the sweep's Assemble
+// derives from all points; TimePs is the row's time-axis value.
+type SweepPoint struct {
+	Index           int       `json:"index"`
+	TimePs          sim.Time  `json:"time_ps"`
+	Values          []float64 `json:"values"`
+	TotalViolations int       `json:"total_violations"`
+}
+
 // Merge concatenates the columns of several series sampled on the same
 // tick grid (e.g. the per-switch registries of an SPS run), in
 // argument order. It fails if the time axes disagree.

@@ -14,7 +14,6 @@ export const SCHEMAS = {
     { key: "stacks", label: "HBM stacks", type: "number", step: 1, def: 4 },
     { key: "shadow", label: "ideal-OQ shadow", type: "bool", def: false },
     { key: "refresh", label: "REFsb refresh", type: "bool", def: false },
-    { key: "sched", label: "event queue", type: "select", options: ["wheel", "heap"], def: "wheel" },
     { key: "trace_sample", label: "trace 1-in-N (0 = off)", type: "number", step: 1, def: 0 },
     { key: "core_probes", label: "core-internals probes", type: "bool", def: false },
   ],
