@@ -109,6 +109,9 @@ func (c SweepConfig) NumPoints() int {
 // Check validates the sweep configuration (after Normalize), so a bad
 // sweep fails before its first point runs.
 func (c SweepConfig) Check() error {
+	if c.Stacks < 1 {
+		return fmt.Errorf("resilience: need at least 1 HBM stack, got %d", c.Stacks)
+	}
 	switch c.Mode {
 	case ModeFailedSwitches:
 		if c.MaxFailed >= c.H {

@@ -109,6 +109,9 @@ func (c SweepConfig) PointWorkload(k int) string { return c.Workloads[k%len(c.Wo
 
 // Check validates the sweep configuration (after Normalize).
 func (c SweepConfig) Check() error {
+	if c.Stacks < 1 {
+		return fmt.Errorf("splitpolicy: need at least 1 HBM stack, got %d", c.Stacks)
+	}
 	for _, p := range c.Policies {
 		if _, err := NewPolicy(p); err != nil {
 			return err
