@@ -107,6 +107,7 @@ func main() {
 		cli.Exit(cli.Outcome{UsageErr: err})
 	}
 
+	sink := cli.SweepOutput{Out: *out, JSON: *jsonOut, Series: *series, Validate: *validate}
 	type cellOut struct {
 		pt  arch.SweepPoint
 		rep *arch.Report
@@ -122,25 +123,12 @@ func main() {
 	pts := make([]arch.SweepPoint, 0, len(cells))
 	for k, c := range cells {
 		pts = append(pts, c.pt)
-		if *series != "" {
-			if err := cli.WriteSeries(fmt.Sprintf("%s%d.csv", *series, k), c.rep.Series); err != nil {
-				cli.Exit(cli.Outcome{RunErr: err})
-			}
+		if err := sink.WritePoint(k, c.rep.Series); err != nil {
+			cli.Exit(cli.Outcome{RunErr: err})
 		}
 		fmt.Fprintf(os.Stderr, "%s/%s: tput %.3f p99 %v queue %d B reorder %d B loss %.4f oeo %.1f\n",
 			c.rep.Arch, c.rep.Workload, c.rep.Cell.Throughput, c.rep.Cell.LatencyP99,
 			c.rep.Cell.QueuePeak, c.rep.Cell.ReorderPeak, c.rep.Cell.LossFrac, c.rep.Cell.OEOStages)
 	}
-	table, violations := cfg.Assemble(pts)
-	if err := cli.WriteTable(*out, *jsonOut, table); err != nil {
-		cli.Exit(cli.Outcome{RunErr: err})
-	}
-	if *validate && violations > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d invariant violations across the grid\n", violations)
-	}
-	o := cli.Outcome{}
-	if *validate {
-		o.Violations = violations
-	}
-	cli.Exit(o)
+	cli.Exit(sink.Finish(cfg.Assemble(pts)))
 }

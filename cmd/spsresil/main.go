@@ -118,6 +118,7 @@ func main() {
 		cli.Exit(cli.Outcome{UsageErr: err})
 	}
 
+	sink := cli.SweepOutput{Out: *out, JSON: *jsonOut, Series: *series, Validate: *validate}
 	var eventLog *telemetry.EventLog
 	pts := make([]resilience.SweepPoint, 0, cfg.NumPoints())
 	for k := 0; k < cfg.NumPoints(); k++ {
@@ -126,7 +127,9 @@ func main() {
 			cli.Exit(cli.Outcome{RunErr: err})
 		}
 		pts = append(pts, pt)
-		writePointSeries(*series, k, rep)
+		if err := sink.WritePoint(k, rep.Series); err != nil {
+			cli.Exit(cli.Outcome{RunErr: err})
+		}
 		switch cfg.Mode {
 		case resilience.ModeFailedSwitches:
 			ep := rep.Epochs[0]
@@ -144,34 +147,13 @@ func main() {
 				cfg.PointMTBF(k), int(pt.Values[1]), len(rep.Epochs), rep.Availability)
 		}
 	}
-	table, violations := cfg.Assemble(pts)
-	if err := cli.WriteTable(*out, *jsonOut, table); err != nil {
-		cli.Exit(cli.Outcome{RunErr: err})
-	}
-	if *events != "" && eventLog != nil {
+	o := sink.Finish(cfg.Assemble(pts))
+	if o.Err() == nil && *events != "" && eventLog != nil {
 		if err := writeEvents(*events, eventLog); err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
+			o.RunErr = err
 		}
 	}
-	if *validate && violations > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d invariant violations across the sweep\n", violations)
-	}
-	o := cli.Outcome{}
-	if *validate {
-		o.Violations = violations
-	}
 	cli.Exit(o)
-}
-
-// writePointSeries writes one campaign's per-epoch series when a
-// prefix was requested.
-func writePointSeries(prefix string, point int, rep *resilience.Report) {
-	if prefix == "" {
-		return
-	}
-	if err := cli.WriteSeries(fmt.Sprintf("%s%d.csv", prefix, point), rep.Series); err != nil {
-		cli.Exit(cli.Outcome{RunErr: err})
-	}
 }
 
 // writeEvents writes the fault/repair log, JSON by extension.

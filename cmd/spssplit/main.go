@@ -98,6 +98,7 @@ func main() {
 		cli.Exit(cli.Outcome{UsageErr: err})
 	}
 
+	sink := cli.SweepOutput{Out: *out, JSON: *jsonOut, Series: *series, Validate: *validate}
 	pts := make([]splitpolicy.SweepPoint, 0, cfg.NumPoints())
 	for k := 0; k < cfg.NumPoints(); k++ {
 		pt, rep, err := cfg.RunPoint(context.Background(), k)
@@ -105,26 +106,13 @@ func main() {
 			cli.Exit(cli.Outcome{RunErr: err})
 		}
 		pts = append(pts, pt)
-		if *series != "" {
-			if err := cli.WriteSeries(fmt.Sprintf("%s%d.csv", *series, k), rep.Series); err != nil {
-				cli.Exit(cli.Outcome{RunErr: err})
-			}
+		if err := sink.WritePoint(k, rep.Series); err != nil {
+			cli.Exit(cli.Outcome{RunErr: err})
 		}
 		fmt.Fprintf(os.Stderr, "%s/%s: offered max/mean %.3f delivered %.3f rehashes %d moved %d goodput %.0f Gb/s\n",
 			cfg.PointPolicy(k), cfg.PointWorkload(k),
 			rep.OfferedMaxOverMean, rep.DeliveredMaxOverMean,
 			rep.Rehashes, rep.MovedFibers, rep.GoodputGbps)
 	}
-	table, violations := cfg.Assemble(pts)
-	if err := cli.WriteTable(*out, *jsonOut, table); err != nil {
-		cli.Exit(cli.Outcome{RunErr: err})
-	}
-	if *validate && violations > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d invariant violations across the sweep\n", violations)
-	}
-	o := cli.Outcome{}
-	if *validate {
-		o.Violations = violations
-	}
-	cli.Exit(o)
+	cli.Exit(sink.Finish(cfg.Assemble(pts)))
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"fmt"
 	"os"
 	"strings"
 
@@ -41,6 +42,40 @@ func WriteTable(path string, asJSON bool, table telemetry.Series) error {
 		path += ".json"
 	}
 	return WriteSeries(path, table)
+}
+
+// SweepOutput holds the output flags every sweep command (spsresil,
+// spssplit, spsarch) shares and writes what they ask for.
+type SweepOutput struct {
+	Out      string // -out: table path, see WriteTable
+	JSON     bool   // -json
+	Series   string // -series: per-point series prefix; empty writes none
+	Validate bool   // -validate: invariant violations fail the run
+}
+
+// WritePoint writes sweep point k's series to <Series><k>.csv when a
+// prefix was given.
+func (o SweepOutput) WritePoint(k int, s telemetry.Series) error {
+	if o.Series == "" {
+		return nil
+	}
+	return WriteSeries(fmt.Sprintf("%s%d.csv", o.Series, k), s)
+}
+
+// Finish writes the assembled sweep table and returns the run's
+// outcome. Under Validate, any violation is reported on stderr and
+// fails the run; without it violations are ignored.
+func (o SweepOutput) Finish(table telemetry.Series, violations int) Outcome {
+	if err := WriteTable(o.Out, o.JSON, table); err != nil {
+		return Outcome{RunErr: err}
+	}
+	if !o.Validate {
+		return Outcome{}
+	}
+	if violations > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d invariant violations across the sweep\n", violations)
+	}
+	return Outcome{Violations: violations}
 }
 
 // WriteTrace writes Chrome trace-event JSON to path ("-" for stdout);

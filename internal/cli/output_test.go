@@ -86,3 +86,61 @@ func TestWriteTableJSONAddsSuffix(t *testing.T) {
 		t.Errorf("CSV table: %v %q", err, csv)
 	}
 }
+
+func TestSweepOutputWritePoint(t *testing.T) {
+	s := telemetry.Series{Names: []string{"a"}, Times: []sim.Time{1}, Rows: [][]float64{{10}}}
+	if err := (SweepOutput{}).WritePoint(0, s); err != nil {
+		t.Fatalf("no prefix: %v", err)
+	}
+	prefix := filepath.Join(t.TempDir(), "pt_")
+	if err := (SweepOutput{Series: prefix}).WritePoint(3, s); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(prefix + "3.csv")
+	if err != nil || !strings.HasPrefix(string(csv), "time_ps,a\n") {
+		t.Errorf("point series: %v %q", err, csv)
+	}
+}
+
+// TestSweepOutputFinish pins the shared sweep tail: the table is
+// written, and violations fail the run (with one FAIL line on stderr)
+// only under Validate.
+func TestSweepOutputFinish(t *testing.T) {
+	s := telemetry.Series{Names: []string{"a"}, Times: []sim.Time{1}, Rows: [][]float64{{10}}}
+	dir := t.TempDir()
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(saved *os.File) { os.Stderr = saved }(os.Stderr)
+	os.Stderr = stderr
+
+	out := filepath.Join(dir, "grid.csv")
+	cases := []struct {
+		validate   bool
+		violations int
+		code       int
+	}{
+		{true, 0, ExitOK},
+		{false, 2, ExitOK},
+		{true, 2, ExitFailure},
+	}
+	for _, tc := range cases {
+		o := SweepOutput{Out: out, Validate: tc.validate}.Finish(s, tc.violations)
+		if o.Code() != tc.code {
+			t.Errorf("validate=%v violations=%d: exit %d, want %d", tc.validate, tc.violations, o.Code(), tc.code)
+		}
+	}
+	if csv, err := os.ReadFile(out); err != nil || !strings.HasPrefix(string(csv), "time_ps,a\n") {
+		t.Errorf("table: %v %q", err, csv)
+	}
+	logged, _ := os.ReadFile(stderr.Name())
+	if want := "FAIL: 2 invariant violations across the sweep\n"; string(logged) != want {
+		t.Errorf("stderr %q, want %q", logged, want)
+	}
+
+	o := SweepOutput{Out: filepath.Join(dir, "missing", "grid.csv")}.Finish(s, 0)
+	if o.RunErr == nil {
+		t.Error("unwritable table path accepted")
+	}
+}
