@@ -38,6 +38,7 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) test -run 'TestSchedulerZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestPerPacketAllocBudget' -count=1 ./internal/hbmswitch
+	$(GO) test -run 'TestMuxNextZeroAlloc' -count=1 ./internal/traffic
 
 # Regenerate every quantitative claim in the paper.
 repro:

@@ -105,6 +105,7 @@ type Switch struct {
 
 	// Tail SRAM (➁).
 	assemblers   []*packet.FrameAssembler
+	perFrame     int                 // batches per frame
 	tailFrames   []ring[*frameToken] // per-output completed frames (FIFO)
 	writeFIFO    ring[*frameToken]   // global completion order
 	tailMod      *sram.Module
@@ -157,12 +158,13 @@ type Switch struct {
 	framePool packet.FramePool
 	tokFree   []*frameToken
 
-	// Per-stage latency breakdown histograms (picoseconds).
-	stageBatch *stats.Histogram // packet arrival -> batch complete
-	stageXbar  *stats.Histogram // batch complete -> tail SRAM
-	stageFrame *stats.Histogram // tail SRAM -> frame ready
-	stageHBM   *stats.Histogram // frame ready -> head SRAM
-	stageOut   *stats.Histogram // head SRAM -> packet departure
+	// Per-stage latency breakdown (picoseconds); Report reads only
+	// each stage's mean.
+	stageBatch stats.Mean // packet arrival -> batch complete
+	stageXbar  stats.Mean // batch complete -> tail SRAM
+	stageFrame stats.Mean // tail SRAM -> frame ready
+	stageHBM   stats.Mean // frame ready -> head SRAM
+	stageOut   stats.Mean // head SRAM -> packet departure
 
 	// Measurements.
 	warmup          sim.Time
@@ -240,17 +242,13 @@ func New(cfg Config) (*Switch, error) {
 		amap:        amap,
 		gmap:        gmap,
 		batchTime:   cfg.BatchTime(),
+		perFrame:    cfg.PFI.BatchesPerFrame(),
 		frameDrain:  sim.TransferTime(int64(cfg.PFI.FrameBytes())*8, cfg.PortRate),
 		readSched:   core.NewReadScheduler(n),
 		phaseWrite:  true,
 		oqDepart:    make(map[uint64]sim.Time),
 		latency:     stats.NewLatencyHistogram(),
 		relDelay:    stats.NewLatencyHistogram(),
-		stageBatch:  stats.NewLatencyHistogram(),
-		stageXbar:   stats.NewLatencyHistogram(),
-		stageFrame:  stats.NewLatencyHistogram(),
-		stageHBM:    stats.NewLatencyHistogram(),
-		stageOut:    stats.NewLatencyHistogram(),
 		nextSeq:     make([]int64, n*n),
 		droppedSeqs: make([]seqQueue, n*n),
 	}
@@ -279,7 +277,7 @@ func New(cfg Config) (*Switch, error) {
 			s.batchers[i][j] = packet.NewBatcher(i, j, cfg.PFI.BatchBytes, nextBatchID)
 			s.batchers[i][j].SetPool(&s.batchPool)
 		}
-		s.assemblers[i] = packet.NewFrameAssembler(i, cfg.PFI.BatchesPerFrame(), cfg.PFI.BatchBytes)
+		s.assemblers[i] = packet.NewFrameAssembler(i, s.perFrame, cfg.PFI.BatchBytes)
 		s.assemblers[i].SetPool(&s.framePool)
 		s.regions[i] = core.NewRegion(amap.CapacityFramesIn(gmap))
 		s.unbatchers[i] = packet.NewUnbatcher()
@@ -603,7 +601,7 @@ func (s *Switch) dynLocate(out int, n int64) (group, row int, err error) {
 // flight through the SRAM stages.
 func (s *Switch) outputHasRoom(out int) bool {
 	pending := int64(s.tailFrames[out].Len()) +
-		int64(s.assemblers[out].PendingBatches()/s.cfg.PFI.BatchesPerFrame()) + 1
+		int64(s.assemblers[out].PendingBatches()/s.perFrame) + 1
 	if s.pageAlloc != nil {
 		// Slots already claimed cover the in-flight data without a new
 		// page; beyond that the pool and the sharing policy must both

@@ -11,7 +11,8 @@ import (
 	"pbrouter/internal/web"
 )
 
-// maxSpecBytes bounds a submitted job spec; larger bodies get 413.
+// maxSpecBytes bounds a submitted job spec or unit request; larger
+// bodies get 413.
 const maxSpecBytes = 1 << 20
 
 // Handler returns spsd's HTTP API: the job routes (JobRoutes) plus
@@ -114,17 +115,28 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, apiError{Error: msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
+// decodeBody decodes a JSON request body of at most maxSpecBytes into
+// v, refusing unknown fields. On failure it answers in the error
+// envelope, 413 for an oversized body and 400 otherwise, with the
+// message prefixed by what, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(v); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, code, "bad job spec: "+err.Error())
+		writeError(w, code, what+": "+err.Error())
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec Spec
+	if !decodeBody(w, r, &spec, "bad job spec") {
 		return
 	}
 	j, err := s.Submit(spec)

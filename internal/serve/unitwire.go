@@ -83,10 +83,7 @@ const unitHeartbeat = 250 * time.Millisecond
 // respects client disconnect.
 func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 	var req UnitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad unit request: "+err.Error())
+	if !decodeBody(w, r, &req, "bad unit request") {
 		return
 	}
 	k, err := admit(&req.Spec)

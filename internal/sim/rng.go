@@ -90,6 +90,14 @@ func (r *RNG) Pick(weights []float64) int {
 	for _, w := range weights {
 		total += w
 	}
+	return r.PickTotal(weights, total)
+}
+
+// PickTotal is Pick with the weight sum supplied by the caller, who
+// must have summed the weights in index order from zero exactly as
+// Pick does; the draw is then bit-identical to Pick's. Callers drawing
+// many times from a fixed weight vector use it to skip the sum.
+func (r *RNG) PickTotal(weights []float64, total float64) int {
 	if len(weights) == 0 || total <= 0 {
 		panic("sim: Pick needs positive total weight")
 	}

@@ -93,6 +93,28 @@ func (w *Welford) Variance() float64 {
 // Stddev returns the sample standard deviation.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
+// Mean is a sample count and sum, for durations whose mean is the
+// only figure read. On the same samples its MeanTime is bit-identical
+// to Histogram.MeanTime, without the bucketing.
+type Mean struct {
+	n   int64
+	sum float64
+}
+
+// AddTime records a simulated duration sample.
+func (m *Mean) AddTime(d sim.Time) {
+	m.n++
+	m.sum += float64(d)
+}
+
+// MeanTime returns the sample mean as a sim.Time, or 0 with no samples.
+func (m *Mean) MeanTime() sim.Time {
+	if m.n == 0 {
+		return 0
+	}
+	return sim.Time(m.sum / float64(m.n))
+}
+
 // Histogram is a streaming histogram over non-negative values with
 // geometric buckets, supporting approximate percentile queries with a
 // fixed relative error set by the growth factor.

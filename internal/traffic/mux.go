@@ -7,7 +7,9 @@ import (
 
 // Mux merges several sources into one packet stream in global arrival
 // order — the form the switch models consume. It keeps one lookahead
-// packet per source and performs a k-way merge.
+// packet per source and performs a k-way merge over a 4-ary min-heap
+// of the live sources keyed by (arrival time, source index), so equal
+// arrival times go to the lower-indexed source.
 //
 // The mux re-assigns each packet's per-(input, output) sequence number
 // in arrival order. For one source per input this is identical to the
@@ -16,11 +18,22 @@ import (
 // one port) it defines the arrival order the switch must preserve.
 type Mux struct {
 	srcs []*Source
-	head []*packet.Packet
-	at   []sim.Time
-	seq  []int64 // per-(input,output) sequence numbers, flat [input*nOut+output]
+	head []*packet.Packet // lookahead packet per source
+	heap []muxEntry       // sources with a lookahead packet
+	seq  []int64          // per-(input,output) sequence numbers, flat [input*nOut+output]
 	nOut int
 	pool *packet.PacketPool // shared source pool, if all sources share one
+}
+
+// muxEntry is one heap slot: a source and its lookahead arrival time.
+type muxEntry struct {
+	at  sim.Time
+	src int
+}
+
+// before orders heap entries by arrival time, then source index.
+func (e muxEntry) before(o muxEntry) bool {
+	return e.at < o.at || (e.at == o.at && e.src < o.src)
 }
 
 // NewMux returns a multiplexer over the given sources.
@@ -28,7 +41,7 @@ func NewMux(srcs []*Source) *Mux {
 	m := &Mux{
 		srcs: srcs,
 		head: make([]*packet.Packet, len(srcs)),
-		at:   make([]sim.Time, len(srcs)),
+		heap: make([]muxEntry, 0, len(srcs)),
 	}
 	nIn := 0
 	for _, s := range srcs {
@@ -50,7 +63,14 @@ func NewMux(srcs []*Source) *Mux {
 		}
 	}
 	for i, s := range srcs {
-		m.head[i], m.at[i] = s.Next()
+		p, at := s.Next()
+		if p != nil {
+			m.head[i] = p
+			m.heap = append(m.heap, muxEntry{at, i})
+		}
+	}
+	for i := (len(m.heap) - 2) / 4; i >= 0; i-- {
+		m.down(i)
 	}
 	return m
 }
@@ -79,23 +99,50 @@ func (m *Mux) PoolStats() packet.PoolStats {
 // Next returns the globally next packet by arrival time, or nil when
 // every source is idle forever.
 func (m *Mux) Next() (*packet.Packet, sim.Time) {
-	best := -1
-	bestAt := sim.Forever
-	for i, p := range m.head {
-		if p != nil && m.at[i] < bestAt {
-			best = i
-			bestAt = m.at[i]
-		}
-	}
-	if best < 0 {
+	if len(m.heap) == 0 || m.heap[0].at >= sim.Forever {
 		return nil, sim.Forever
 	}
-	p, at := m.head[best], m.at[best]
-	m.head[best], m.at[best] = m.srcs[best].Next()
+	top := &m.heap[0]
+	i, at := top.src, top.at
+	p := m.head[i]
+	if m.head[i], top.at = m.srcs[i].Next(); m.head[i] == nil {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.down(0)
 	pair := p.Input*m.nOut + p.Output
 	p.Seq = m.seq[pair]
 	m.seq[pair]++
 	return p, at
+}
+
+// down sifts the entry at slot i down to its place below i.
+func (m *Mux) down(i int) {
+	h := m.heap
+	n := len(h)
+	if i >= n {
+		return
+	}
+	e := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if h[k].before(h[best]) {
+				best = k
+			}
+		}
+		if !h[best].before(e) {
+			break
+		}
+		h[i] = h[best]
+		i = best
+	}
+	h[i] = e
 }
 
 // Window drains the multiplexer up to the horizon, returning packets

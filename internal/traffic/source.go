@@ -73,6 +73,13 @@ func NewZipfFlowPool(flowsPerPair int, skew float64, rng *sim.RNG) *FlowPool {
 // flat by (input, output) — first use creates the tuples (same lazy
 // creation order as before), steady state is two slice loads.
 func (fp *FlowPool) Pick(in, out int, rng *sim.RNG) packet.FiveTuple {
+	fl := fp.pair(in, out)
+	return fl[fp.index(len(fl), rng)]
+}
+
+// pair returns the pair's tuple table, creating it on first use. The
+// table never changes afterwards, so callers may keep it.
+func (fp *FlowPool) pair(in, out int) []packet.FiveTuple {
 	for in >= len(fp.flows) {
 		fp.flows = append(fp.flows, nil)
 	}
@@ -95,10 +102,15 @@ func (fp *FlowPool) Pick(in, out int, rng *sim.RNG) packet.FiveTuple {
 		row[out] = fl
 	}
 	fp.flows[in] = row
+	return fl
+}
+
+// index draws the position of one tuple in a pair's table of n.
+func (fp *FlowPool) index(n int, rng *sim.RNG) int {
 	if fp.weights != nil {
-		return fl[rng.Pick(fp.weights)]
+		return rng.Pick(fp.weights)
 	}
-	return fl[rng.Intn(len(fl))]
+	return rng.Intn(n)
 }
 
 // Source generates the packet arrival stream of one switch input. It
@@ -109,10 +121,19 @@ type Source struct {
 
 	kind    ArrivalKind
 	weights []float64 // per-output rates (row of the traffic matrix)
-	load    float64   // row sum
-	sizes   SizeDist
-	rng     *sim.RNG
-	pool    *FlowPool
+	// load is the row sum, added in index order from zero exactly as
+	// RNG.Pick sums weights, so it is also Pick's total for the row.
+	load  float64
+	sizes SizeDist
+	rng   *sim.RNG
+	pool  *FlowPool
+	flows [][]packet.FiveTuple // per-output pool tables, filled on first use
+
+	// Per-size constants of the last packet size drawn: its
+	// serialization time and its Poisson mean idle gap.
+	lastSize int
+	lastTx   sim.Time
+	lastGap  float64
 
 	nextStart  sim.Time
 	burstLeft  int
@@ -173,6 +194,7 @@ func NewSource(cfg SourceConfig) *Source {
 		sizes:      cfg.Sizes,
 		rng:        cfg.RNG,
 		pool:       cfg.Pool,
+		lastSize:   -1,
 		idgen:      cfg.NextID,
 		alloc:      cfg.Alloc,
 		seq:        make([]int64, len(cfg.Row)),
@@ -184,6 +206,9 @@ func NewSource(cfg SourceConfig) *Source {
 	}
 	if s.burstMin == 0 {
 		s.burstMin = 8
+	}
+	if s.pool != nil {
+		s.flows = make([][]packet.FiveTuple, len(cfg.Row))
 	}
 	return s
 }
@@ -199,15 +224,19 @@ func (s *Source) Next() (*packet.Packet, sim.Time) {
 		return nil, sim.Forever
 	}
 	size := s.sizes.Sample(s.rng)
-	txTime := sim.TransferTime(int64(size)*8, s.LineRate)
+	if size != s.lastSize {
+		s.lastSize = size
+		s.lastTx = sim.TransferTime(int64(size)*8, s.LineRate)
+		// Idle gap so that mean cycle = txTime/load:
+		// E[gap] = txTime*(1-load)/load.
+		s.lastGap = float64(s.lastTx) * (1 - s.load) / s.load
+	}
+	txTime := s.lastTx
 
 	start := s.nextStart
 	switch s.kind {
 	case Poisson:
-		// Idle gap so that mean cycle = txTime/load:
-		// E[gap] = txTime*(1-load)/load.
-		meanGap := float64(txTime) * (1 - s.load) / s.load
-		gap := sim.Time(s.rng.ExpFloat64() * meanGap)
+		gap := sim.Time(s.rng.ExpFloat64() * s.lastGap)
 		s.nextStart = start + txTime + gap
 	case Bursty:
 		if s.burstLeft == 0 {
@@ -231,7 +260,7 @@ func (s *Source) Next() (*packet.Packet, sim.Time) {
 		}
 	}
 
-	out := s.rng.Pick(s.weights)
+	out := s.rng.PickTotal(s.weights, s.load)
 	var p *packet.Packet
 	if s.alloc != nil {
 		p = s.alloc.Get()
@@ -246,7 +275,12 @@ func (s *Source) Next() (*packet.Packet, sim.Time) {
 	p.Seq = s.seq[out]
 	s.seq[out]++
 	if s.pool != nil {
-		p.Flow = s.pool.Pick(s.Input, out, s.rng)
+		fl := s.flows[out]
+		if fl == nil {
+			fl = s.pool.pair(s.Input, out)
+			s.flows[out] = fl
+		}
+		p.Flow = fl[s.pool.index(len(fl), s.rng)]
 	}
 	return p, p.Arrival
 }
