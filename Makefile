@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke repro fuzz fuzz-smoke validate resil split-smoke arch-smoke serve-smoke ui-smoke fleet-smoke fmt vet clean figures
+.PHONY: all build test race cover bench bench-smoke repro fuzz fuzz-smoke validate resil split-smoke arch-smoke serve-smoke ui-smoke fleet-smoke perfbench-smoke fmt vet clean figures
 
 all: build vet test race
 
@@ -120,6 +120,18 @@ ui-smoke:
 # docs/fleet.md.
 fleet-smoke:
 	SPSFLEET_SMOKE=1 $(GO) test ./internal/fleet -run TestFleetSmoke -count=1 -v
+
+# Benchmark smoke: run each perfbench workload for one second at its
+# default seed and require a clean result line ("correct":true,
+# "failed":0), so a change that moves a pinned output digest fails
+# here rather than only in the benchmark run (see perfbench/README.md).
+perfbench-smoke:
+	@for w in switch_64b switch_jumbo arena_grid daemon_jobs; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "perfbench-smoke: $$w did not pass its checks"; exit 1 ;; esac; \
+	done
 
 fmt:
 	gofmt -w .

@@ -42,8 +42,11 @@ func NewPPS(n, h int, rate sim.Rate, speedup float64) *PPS {
 // Arrive load-balances one packet to a middle switch and returns when
 // that middle switch delivers it to the output stage. Packets must be
 // fed in arrival order.
-func (p *PPS) Arrive(pk *packet.Packet) sim.Time {
+func (p *PPS) Arrive(pk *packet.Packet) sim.Time { return p.complete(pk, p.depart(pk)) }
+
+// depart picks pk's middle switch and returns when it delivers pk.
+func (p *PPS) depart(pk *packet.Packet) sim.Time {
 	m := p.rr[pk.Input]
 	p.rr[pk.Input] = (m + 1) % len(p.middles)
-	return p.complete(pk, p.middles[m].Arrive(pk))
+	return p.middles[m].Arrive(pk)
 }

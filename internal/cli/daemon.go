@@ -28,6 +28,17 @@ func Logger(level, format, service string) *slog.Logger {
 	return slog.New(h).With("service", service)
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so one that never finishes them cannot hold a
+// connection forever. There is deliberately no WriteTimeout: it would
+// cut long-lived NDJSON job streams.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the http.Server every daemon serves h on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // ServeUntilSignal listens on addr, writes the bound address to
 // addrFile when one is named, logs "listening" with attrs, and serves
 // h. SIGTERM or SIGINT drains — jobs first, so everything accepted
@@ -47,7 +58,7 @@ func ServeUntilSignal(addr, addrFile string, h http.Handler, drain func(context.
 	}
 	log.Info("listening", append([]any{"addr", bound}, attrs...)...)
 
-	httpSrv := &http.Server{Handler: h}
+	httpSrv := newHTTPServer(h)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

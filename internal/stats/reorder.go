@@ -12,21 +12,24 @@ package stats
 // missing must be buffered; the tracker integrates the exact buffer
 // occupancy a resequencer would see.
 type ReorderTracker struct {
-	next    map[uint64]int64         // pair -> next expected sequence
-	pending map[uint64]map[int64]int // pair -> seq -> bytes held
-	held    int64                    // current buffered bytes
-	peak    int64                    // high-water buffered bytes
-	ooo     int64                    // packets that arrived out of order
-	total   int64                    // all packets observed
-	maxDisp int64                    // max displacement (seq - expected)
+	pairs   map[uint64]*pairOrder // pair -> its resequencing state
+	held    int64                 // current buffered bytes
+	peak    int64                 // high-water buffered bytes
+	ooo     int64                 // packets that arrived out of order
+	total   int64                 // all packets observed
+	maxDisp int64                 // max displacement (seq - expected)
+}
+
+// pairOrder is one pair's resequencing state: the next sequence it
+// expects and the bytes held for each later sequence already seen.
+type pairOrder struct {
+	next    int64
+	pending map[int64]int // seq -> bytes held; nil until the first gap
 }
 
 // NewReorderTracker returns an empty tracker.
 func NewReorderTracker() *ReorderTracker {
-	return &ReorderTracker{
-		next:    make(map[uint64]int64),
-		pending: make(map[uint64]map[int64]int),
-	}
+	return &ReorderTracker{pairs: make(map[uint64]*pairOrder)}
 }
 
 // Observe records the arrival of packet seq (0-based, per pair) with
@@ -34,38 +37,38 @@ func NewReorderTracker() *ReorderTracker {
 // domain.
 func (r *ReorderTracker) Observe(pair uint64, seq int64, bytes int) {
 	r.total++
-	expected := r.next[pair]
-	if seq == expected {
+	st := r.pairs[pair]
+	if st == nil {
+		st = &pairOrder{}
+		r.pairs[pair] = st
+	}
+	if seq == st.next {
 		// In order: deliver it and any buffered successors.
-		expected++
-		p := r.pending[pair]
-		for {
-			b, ok := p[expected]
+		st.next++
+		for len(st.pending) > 0 {
+			b, ok := st.pending[st.next]
 			if !ok {
 				break
 			}
-			delete(p, expected)
+			delete(st.pending, st.next)
 			r.held -= int64(b)
-			expected++
+			st.next++
 		}
-		r.next[pair] = expected
 		return
 	}
-	if seq < expected {
+	if seq < st.next {
 		// Duplicate or late retransmission; nothing to buffer.
 		return
 	}
 	r.ooo++
-	if d := seq - expected; d > r.maxDisp {
+	if d := seq - st.next; d > r.maxDisp {
 		r.maxDisp = d
 	}
-	p := r.pending[pair]
-	if p == nil {
-		p = make(map[int64]int)
-		r.pending[pair] = p
+	if st.pending == nil {
+		st.pending = make(map[int64]int)
 	}
-	if _, dup := p[seq]; !dup {
-		p[seq] = bytes
+	if _, dup := st.pending[seq]; !dup {
+		st.pending[seq] = bytes
 		r.held += int64(bytes)
 		if r.held > r.peak {
 			r.peak = r.held

@@ -197,32 +197,8 @@ func New(cfg Config, m *traffic.Matrix, lineRate sim.Rate, rng *sim.RNG) (traffi
 	switch cfg.Kind {
 	case KindUniform:
 		return traffic.NewMux(traffic.UniformSources(m, lineRate, traffic.Poisson, cfg.Sizes, rng)), nil
-	case KindHeavyTail:
-		var id uint64
-		nextID := func() uint64 { id++; return id }
-		streams := make([]traffic.Stream, m.N)
-		for i := 0; i < m.N; i++ {
-			streams[i] = NewFlowSource(i, m.Rates[i], lineRate, cfg.flowDist(), rng.Fork(), nextID)
-		}
-		return Merge(streams...), nil
-	case KindOnOff:
-		var id uint64
-		nextID := func() uint64 { id++; return id }
-		streams := make([]traffic.Stream, m.N)
-		for i := 0; i < m.N; i++ {
-			streams[i] = NewOnOffSource(OnOffConfig{
-				Input:      i,
-				Row:        m.Rates[i],
-				LineRate:   lineRate,
-				Sizes:      cfg.Sizes,
-				BurstRatio: cfg.BurstRatio,
-				OnMean:     cfg.OnMeanPs,
-				Pareto:     cfg.OnDist == "pareto",
-				RNG:        rng.Fork(),
-				NextID:     nextID,
-			})
-		}
-		return Merge(streams...), nil
+	case KindHeavyTail, KindOnOff:
+		return Merge(inputStreams(cfg, m, lineRate, rng)...), nil
 	case KindDiurnal:
 		mean := meanLoad(m)
 		peak := mean * (1 + cfg.Amplitude)
@@ -252,6 +228,33 @@ func New(cfg Config, m *traffic.Matrix, lineRate sim.Rate, rng *sim.RNG) (traffi
 	default:
 		return nil, fmt.Errorf("workload: unknown kind %q", cfg.Kind)
 	}
+}
+
+// inputStreams builds the per-input sources the heavytail and onoff
+// kinds merge: one per input, with forked RNG streams in input order
+// and one shared packet-ID counter.
+func inputStreams(cfg Config, m *traffic.Matrix, lineRate sim.Rate, rng *sim.RNG) []traffic.Stream {
+	var id uint64
+	nextID := func() uint64 { id++; return id }
+	streams := make([]traffic.Stream, m.N)
+	for i := range streams {
+		if cfg.Kind == KindHeavyTail {
+			streams[i] = NewFlowSource(i, m.Rates[i], lineRate, cfg.flowDist(), rng.Fork(), nextID)
+			continue
+		}
+		streams[i] = NewOnOffSource(OnOffConfig{
+			Input:      i,
+			Row:        m.Rates[i],
+			LineRate:   lineRate,
+			Sizes:      cfg.Sizes,
+			BurstRatio: cfg.BurstRatio,
+			OnMean:     cfg.OnMeanPs,
+			Pareto:     cfg.OnDist == "pareto",
+			RNG:        rng.Fork(),
+			NextID:     nextID,
+		})
+	}
+	return streams
 }
 
 // scaledUniform builds a Poisson mux whose rows are the matrix's
