@@ -1,6 +1,9 @@
 package router
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -123,5 +126,43 @@ func TestGoldenSRAMTotal(t *testing.T) {
 	}
 	if res.Rows[0].Measured != "14.50 MB" {
 		t.Fatalf("SRAM total %q want 14.50 MB", res.Rows[0].Measured)
+	}
+}
+
+// TestExpAllQuickMatchesFixture pins every experiment's quick seed-1
+// output byte for byte, stochastic rows included: testdata/
+// exp_all_quick.json is `spsbench -exp all -quick -format json`. E5's
+// ideal-OQ shadow ratios are in it, so any change to the per-packet
+// path that moves a delay, a drop or a departure order fails here.
+func TestExpAllQuickMatchesFixture(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "exp_all_quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, e := range Experiments() {
+		res, err := e.Run(Options{Quick: true, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if err := res.WriteJSON(&got, e.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("experiment %d differs from the fixture:\n got: %s\nwant: %s", i+1, g, w)
+		}
 	}
 }
