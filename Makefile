@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke repro fuzz fuzz-smoke validate resil split-smoke arch-smoke serve-smoke ui-smoke fleet-smoke perfbench-smoke fmt vet clean figures
+.PHONY: all build test race cover bench bench-smoke repro fuzz fuzz-smoke validate resil split-smoke arch-smoke serve-smoke ui-smoke fleet-smoke perfbench-smoke fmt vet clean figures figures-check
 
 all: build vet test race
 
@@ -33,9 +33,11 @@ bench:
 
 # Cheap CI gate for the zero-alloc event core (see docs/perf.md): run
 # every benchmark exactly once to catch panics and compile breakage,
-# then the hot-path allocation-budget tests.
+# then the hot-path allocation-budget tests and the one-cache-line
+# packet layout pin.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
+	$(GO) test -run 'TestPacketLayout' -count=1 ./internal/packet
 	$(GO) test -run 'TestSchedulerZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestPerPacketAllocBudget' -count=1 ./internal/hbmswitch
 	$(GO) test -run 'TestMuxNextZeroAlloc' -count=1 ./internal/traffic
@@ -142,13 +144,27 @@ vet:
 clean:
 	$(GO) clean ./...
 
-# Figure-style CSV series + ASCII charts into results/.
+# Figure-style CSV series + ASCII charts into $(RESULTS) (results/).
+RESULTS ?= results
+FIGURES = latency_load.csv throughput_speedup.csv latency_framesize.csv \
+	latency_cdf.csv mesh_load.csv latency_load.txt mesh_load.txt
+
 figures:
-	mkdir -p results
-	$(GO) run ./cmd/spssweep -sweep latency-load > results/latency_load.csv
-	$(GO) run ./cmd/spssweep -sweep throughput-speedup > results/throughput_speedup.csv
-	$(GO) run ./cmd/spssweep -sweep latency-framesize > results/latency_framesize.csv
-	$(GO) run ./cmd/spssweep -sweep latency-cdf > results/latency_cdf.csv
-	$(GO) run ./cmd/spssweep -sweep mesh-load > results/mesh_load.csv
-	$(GO) run ./cmd/spssweep -sweep latency-load -plot > results/latency_load.txt
-	$(GO) run ./cmd/spssweep -sweep mesh-load -plot > results/mesh_load.txt
+	mkdir -p $(RESULTS)
+	$(GO) run ./cmd/spssweep -sweep latency-load > $(RESULTS)/latency_load.csv
+	$(GO) run ./cmd/spssweep -sweep throughput-speedup > $(RESULTS)/throughput_speedup.csv
+	$(GO) run ./cmd/spssweep -sweep latency-framesize > $(RESULTS)/latency_framesize.csv
+	$(GO) run ./cmd/spssweep -sweep latency-cdf > $(RESULTS)/latency_cdf.csv
+	$(GO) run ./cmd/spssweep -sweep mesh-load > $(RESULTS)/mesh_load.csv
+	$(GO) run ./cmd/spssweep -sweep latency-load -plot > $(RESULTS)/latency_load.txt
+	$(GO) run ./cmd/spssweep -sweep mesh-load -plot > $(RESULTS)/mesh_load.txt
+
+# Regenerate every results/ file into a temp dir and require each to
+# match the committed copy byte for byte (~10 s). The sweeps run the
+# HBM switch with its ideal-OQ shadow, so this also guards the
+# per-packet path against output drift.
+figures-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(MAKE) --no-print-directory figures RESULTS=$$tmp && \
+	for f in $(FIGURES); do cmp results/$$f $$tmp/$$f || exit 1; done && \
+	echo "figures-check: all $(words $(FIGURES)) results/ files match"

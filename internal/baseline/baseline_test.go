@@ -79,7 +79,7 @@ func TestSpraySwitchLosesThroughputOnSmallPackets(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		out := i % 4
-		p := &packet.Packet{ID: uint64(i), Size: 64, Input: 0, Output: out,
+		p := &packet.Packet{ID: uint64(i), Size: 64, Input: 0, Output: int32(out),
 			Arrival: 0, Seq: seqs[out]}
 		seqs[out]++
 		s.Arrive(p)
@@ -103,7 +103,7 @@ func TestSpraySwitchReordersAndNeedsBuffer(t *testing.T) {
 		if i%2 == 0 {
 			size = 1500
 		}
-		p := &packet.Packet{ID: uint64(i), Size: size, Input: 0, Output: 0,
+		p := &packet.Packet{ID: uint64(i), Size: int32(size), Input: 0, Output: 0,
 			Arrival: 0, Seq: seq}
 		seq++
 		s.Arrive(p)
@@ -206,7 +206,7 @@ func TestPPSDeliversButReorders(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			size := []int{64, 1500, 594}[j]
 			key := [2]int{in, out}
-			p := &packet.Packet{ID: id, Size: size, Input: in, Output: out,
+			p := &packet.Packet{ID: id, Size: int32(size), Input: int32(in), Output: int32(out),
 				Arrival: t0, Seq: seqs[key]}
 			id++
 			seqs[key]++

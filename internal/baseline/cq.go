@@ -78,9 +78,9 @@ func NewCQSwitch(n int, rate sim.Rate, capBytes int64) *CQSwitch {
 // is full.
 func (s *CQSwitch) Arrive(p *packet.Packet) {
 	s.Offered.Add(p.Size)
-	out := p.Output
+	out := int(p.Output)
 	s.serveUntil(out, p.Arrival)
-	xp := out*s.n + p.Input
+	xp := out*s.n + int(p.Input)
 	if s.qBytes[xp]+int64(p.Size) > s.capBytes {
 		s.Dropped.Add(p.Size)
 		return

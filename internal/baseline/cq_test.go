@@ -54,7 +54,7 @@ func TestCQDropsOnCrosspointOverrun(t *testing.T) {
 		at += tx
 		for in := 0; in < 2; in++ {
 			id++
-			sw.Arrive(&packet.Packet{ID: id, Size: 1500, Input: in, Output: 0, Arrival: at})
+			sw.Arrive(&packet.Packet{ID: id, Size: 1500, Input: int32(in), Output: 0, Arrival: at})
 		}
 	}
 	sw.Finish()

@@ -80,7 +80,7 @@ func (s *IQSwitch) CellTime() sim.Time { return s.cellTime }
 // Enqueue segments a packet into cells in its VOQ. Call in arrival
 // order; scheduling happens in Run.
 func (s *IQSwitch) Enqueue(p *packet.Packet) {
-	remaining := p.Size
+	remaining := int(p.Size)
 	for remaining > 0 {
 		l := s.cellBytes
 		if remaining < l {

@@ -70,7 +70,8 @@ func (ms *MeshSim) HandleEvent(code, a int, p any) {
 	case evMeshArrive:
 		pkt := p.(*packet.Packet)
 		ms.offered.Add(pkt.Size)
-		ms.hop(pkt, pkt.Input/ms.K, pkt.Input%ms.K, 0)
+		in := int(pkt.Input)
+		ms.hop(pkt, in/ms.K, in%ms.K, 0)
 		ms.pump()
 	case evMeshHop:
 		ms.hop(p.(*packet.Packet), a>>8&0xff, a&0xff, a>>16)
@@ -104,7 +105,8 @@ func (ms *MeshSim) nextLink(r, c, dr, dc int) (link, nr, nc int, done bool) {
 // itself until the packet ejects.
 func (ms *MeshSim) hop(p *packet.Packet, r, c, hops int) {
 	now := ms.sched.Now()
-	dr, dc := p.Output/ms.K, p.Output%ms.K
+	out := int(p.Output)
+	dr, dc := out/ms.K, out%ms.K
 	link, nr, nc, done := ms.nextLink(r, c, dr, dc)
 	start := now
 	if ms.busyUntil[link] > start {

@@ -36,7 +36,7 @@ type reseqEntry struct {
 	idx  uint64
 	pair uint64
 	seq  int64
-	size int
+	size int32
 }
 
 // before orders heap entries by completion time, then arrival index.
@@ -75,7 +75,7 @@ func (r *resequencer) complete(p *packet.Packet, done sim.Time) sim.Time {
 func (r *resequencer) release(t sim.Time) {
 	for len(r.heap) > 0 && r.heap[0].done <= t {
 		e := &r.heap[0]
-		r.Tracker.Observe(e.pair, e.seq, e.size)
+		r.Tracker.Observe(e.pair, e.seq, int(e.size))
 		r.Delivered.Add(e.size)
 		last := len(r.heap) - 1
 		r.heap[0] = r.heap[last]

@@ -42,7 +42,7 @@ func (r *sortResequencer) Finish() sim.Rate {
 	})
 	for _, e := range r.inflight {
 		pair := uint64(e.p.Input)<<32 | uint64(uint32(e.p.Output))
-		r.Tracker.Observe(pair, e.p.Seq, e.p.Size)
+		r.Tracker.Observe(pair, e.p.Seq, int(e.p.Size))
 		r.Delivered.Add(e.p.Size)
 	}
 	return sim.RateOf(r.Delivered.Bits(), r.inflight[len(r.inflight)-1].done)
@@ -139,7 +139,7 @@ func backlogFeed(n int) []*packet.Packet {
 	pkts := make([]*packet.Packet, n)
 	for i := range pkts {
 		out := i % 16
-		pkts[i] = &packet.Packet{ID: uint64(i), Size: 64, Output: out, Seq: seqs[out]}
+		pkts[i] = &packet.Packet{ID: uint64(i), Size: 64, Output: int32(out), Seq: seqs[out]}
 		seqs[out]++
 	}
 	return pkts
@@ -159,7 +159,7 @@ func tiedFeed(n, steps int) []*packet.Packet {
 			out := (in + k) % n
 			key := [2]int{in, out}
 			for b := 0; b < 3; b++ {
-				pkts = append(pkts, &packet.Packet{ID: uint64(len(pkts)), Size: size, Input: in, Output: out,
+				pkts = append(pkts, &packet.Packet{ID: uint64(len(pkts)), Size: int32(size), Input: int32(in), Output: int32(out),
 					Arrival: sim.Time(k/2) * 40 * sim.Nanosecond, Seq: seqs[key]})
 				seqs[key]++
 			}

@@ -1,5 +1,7 @@
 package hbmswitch
 
+import "pbrouter/internal/sim"
+
 // ring is a growable circular deque. The switch's stage FIFOs
 // (input-port batches, tail frames, the write FIFO, HBM-resident
 // frames) push at the back and pop at the front; a slice FIFO
@@ -58,4 +60,62 @@ func (r *ring[T]) grow() {
 	}
 	r.buf = next
 	r.head = 0
+}
+
+// oqEntry is one shadowed packet: its ID and the ideal OQ shadow's
+// departure time for it.
+type oqEntry struct {
+	id uint64
+	oq sim.Time
+}
+
+// oqRing queues one (input, output) pair's shadowed packets in
+// injection order until the HBM switch departs them. While per-pair
+// egress order holds (the fifo-order invariant), every departure is
+// the ring's head, so the normal path is one compare and a pop: no
+// hashing and no per-packet map entry. A departure that is not the
+// head (a faulted run) is found by scanning the pair's ring and
+// removed in place; an ID that is not there is reported as missing.
+// Either way take returns what a map keyed by packet ID would, for
+// packets whose IDs are unique. The buffer length is a power of two,
+// so indexing is a mask, and it only grows, so the steady state
+// allocates nothing.
+type oqRing struct {
+	buf  []oqEntry
+	head int
+	n    int
+}
+
+// push appends a packet's shadow departure at the back.
+func (r *oqRing) push(id uint64, oq sim.Time) {
+	if r.n == len(r.buf) {
+		next := make([]oqEntry, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = next, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = oqEntry{id: id, oq: oq}
+	r.n++
+}
+
+// take removes packet id and returns its shadow departure, or false
+// if the ring does not hold it (departed twice, or never shadowed).
+func (r *oqRing) take(id uint64) (sim.Time, bool) {
+	mask := len(r.buf) - 1
+	for i := 0; i < r.n; i++ {
+		e := r.buf[(r.head+i)&mask]
+		if e.id != id {
+			continue
+		}
+		// Close the gap: shift the i entries ahead of it back one
+		// slot, then pop the head (a no-op shift for i == 0).
+		for j := i; j > 0; j-- {
+			r.buf[(r.head+j)&mask] = r.buf[(r.head+j-1)&mask]
+		}
+		r.head = (r.head + 1) & mask
+		r.n--
+		return e.oq, true
+	}
+	return 0, false
 }

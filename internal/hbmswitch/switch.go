@@ -142,9 +142,10 @@ type Switch struct {
 	tracer    *telemetry.Tracer
 	traceProc int
 
-	// Shadow ideal OQ switch.
+	// Shadow ideal OQ switch, and its departure time for every packet
+	// in flight, queued per flat (input, output) pair.
 	shadow   *baseline.OQSwitch
-	oqDepart map[uint64]sim.Time
+	oqDepart []oqRing
 
 	// Optional structural probe (SetProbe); nil-guarded everywhere.
 	probe Probe
@@ -246,7 +247,6 @@ func New(cfg Config) (*Switch, error) {
 		frameDrain:  sim.TransferTime(int64(cfg.PFI.FrameBytes())*8, cfg.PortRate),
 		readSched:   core.NewReadScheduler(n),
 		phaseWrite:  true,
-		oqDepart:    make(map[uint64]sim.Time),
 		latency:     stats.NewLatencyHistogram(),
 		relDelay:    stats.NewLatencyHistogram(),
 		nextSeq:     make([]int64, n*n),
@@ -312,6 +312,7 @@ func New(cfg Config) (*Switch, error) {
 	}
 	if cfg.Shadow {
 		s.shadow = baseline.NewOQSwitch(n, cfg.PortRate)
+		s.oqDepart = make([]oqRing, n*n)
 	}
 	return s, nil
 }
@@ -379,6 +380,7 @@ func (s *Switch) fail(format string, args ...interface{}) {
 // inject processes one packet arrival (last byte on the wire at now).
 func (s *Switch) inject(p *packet.Packet) {
 	now := s.sched.Now()
+	in := int(p.Input)
 	s.offered.Add(p.Size)
 	if now > s.warmup && now <= s.horizon {
 		s.offeredSteady.Add(p.Size)
@@ -386,12 +388,12 @@ func (s *Switch) inject(p *packet.Packet) {
 	// Ingress tail-drop: when the output's buffering (HBM region plus
 	// in-flight slack) is exhausted, the packet is dropped at the
 	// input, as a shared-buffer switch would.
-	if !s.outputHasRoom(p.Output) {
+	if !s.outputHasRoom(int(p.Output)) {
 		s.dropped.Add(p.Size)
-		q := &s.droppedSeqs[p.Input*s.cfg.PFI.N+p.Output]
+		q := &s.droppedSeqs[p.Pair(s.cfg.PFI.N)]
 		q.seqs = append(q.seqs, p.Seq)
 		if s.tracer != nil {
-			s.tracer.Instant("drop", s.traceProc, p.Input, now, p.ID)
+			s.tracer.Instant("drop", s.traceProc, in, now, p.ID)
 		}
 		if s.probe != nil {
 			s.probe.PacketDropped(p)
@@ -402,17 +404,17 @@ func (s *Switch) inject(p *packet.Packet) {
 	s.oeo.Convert(int64(p.Size) * 8) // O/E at the ingress waveguide
 	if s.shadow != nil {
 		oq := s.shadow.Arrive(p)
-		s.oqDepart[p.ID] = oq
+		s.oqDepart[p.Pair(s.cfg.PFI.N)].push(p.ID, oq)
 		if oq > s.warmup && oq <= s.horizon {
 			s.shadowSteady.Add(p.Size)
 		}
 	}
-	s.lastArrival[p.Input] = now
-	for _, b := range s.batchers[p.Input][p.Output].Add(p) {
-		s.enqueueBatch(p.Input, b)
+	s.lastArrival[in] = now
+	for _, b := range s.batchers[in][p.Output].Add(p) {
+		s.enqueueBatch(in, b)
 	}
 	if s.cfg.FlushTimeout > 0 {
-		s.sched.AfterEvent(s.cfg.FlushTimeout, s, evFlushCheck, p.Input, nil)
+		s.sched.AfterEvent(s.cfg.FlushTimeout, s, evFlushCheck, in, nil)
 	}
 }
 
@@ -958,16 +960,16 @@ func (s *Switch) departPacket(p *packet.Packet, batchStart sim.Time, cumBytes in
 	}
 	s.perOutDelivered[out].Add(p.Size)
 	s.latency.AddTime(p.Latency())
+	pair := p.Pair(s.cfg.PFI.N)
 	oq := sim.Time(-1)
 	if s.shadow != nil {
-		if t, ok := s.oqDepart[p.ID]; ok {
+		if t, ok := s.oqDepart[pair].take(p.ID); ok {
 			oq = t
 			delta := depart - t
 			if delta < 0 {
 				delta = 0 // the HBM switch beat the shadow (possible at idle)
 			}
 			s.relDelay.AddTime(delta)
-			delete(s.oqDepart, p.ID)
 		} else {
 			s.fail("packet %d departed twice or never shadowed", p.ID)
 		}
@@ -975,7 +977,6 @@ func (s *Switch) departPacket(p *packet.Packet, batchStart sim.Time, cumBytes in
 	if s.probe != nil {
 		s.probe.PacketDeparted(p, oq)
 	}
-	pair := p.Input*s.cfg.PFI.N + p.Output
 	expected := s.nextSeq[pair]
 	q := &s.droppedSeqs[pair]
 	for q.head < len(q.seqs) && q.seqs[q.head] <= expected {

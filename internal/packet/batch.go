@@ -11,10 +11,13 @@ import (
 // not a multiple of the remaining batch space straddles two (or, if
 // larger than a batch, more) consecutive batches of the same
 // (input, output) pair, as §3.2 ➀ allows.
+//
+// A Frag is 16 B: at 64 B packets a 4 KB batch holds 64 of them, so
+// the batch's fragment list is one 1 KiB array.
 type Frag struct {
 	Pkt *Packet
-	Off int
-	Len int
+	Off int32
+	Len int32
 }
 
 // Batch is a fixed-size aggregation of packet fragments sharing one
@@ -39,7 +42,7 @@ type Batch struct {
 func (b *Batch) DataBytes() int {
 	n := 0
 	for _, f := range b.Frags {
-		n += f.Len
+		n += int(f.Len)
 	}
 	return n
 }
@@ -57,7 +60,7 @@ func (b *Batch) Validate() error {
 			return fmt.Errorf("batch %d: bad frag [%d,%d) of packet %d size %d",
 				b.ID, f.Off, f.Off+f.Len, f.Pkt.ID, f.Pkt.Size)
 		}
-		if f.Pkt.Output != b.Output {
+		if int(f.Pkt.Output) != b.Output {
 			return fmt.Errorf("batch %d for output %d contains packet %d for output %d",
 				b.ID, b.Output, f.Pkt.ID, f.Pkt.Output)
 		}
@@ -115,14 +118,15 @@ func (a *Batcher) QueuedBytes() int { return a.queued }
 // overwritten by the next Add call, so callers must consume it before
 // adding another packet.
 func (a *Batcher) Add(p *Packet) []*Batch {
-	if p.Output != a.output {
+	if int(p.Output) != a.output {
 		panic(fmt.Sprintf("packet: packet for output %d added to batcher for output %d",
 			p.Output, a.output))
 	}
 	done := a.done[:0]
+	size := int(p.Size)
 	off := 0
-	a.queued += p.Size
-	for off < p.Size {
+	a.queued += size
+	for off < size {
 		if a.cur == nil {
 			var b *Batch
 			if a.pool != nil {
@@ -134,11 +138,11 @@ func (a *Batcher) Add(p *Packet) []*Batch {
 			a.cur = b
 			a.fill = 0
 		}
-		n := p.Size - off
+		n := size - off
 		if room := a.size - a.fill; n > room {
 			n = room
 		}
-		a.cur.Frags = append(a.cur.Frags, Frag{Pkt: p, Off: off, Len: n})
+		a.cur.Frags = append(a.cur.Frags, Frag{Pkt: p, Off: int32(off), Len: int32(n)})
 		a.fill += n
 		off += n
 		if a.fill == a.size {

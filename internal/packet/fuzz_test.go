@@ -36,7 +36,7 @@ func FuzzBatcherUnbatcher(f *testing.F) {
 		for i, s := range sizes {
 			size := int(s)*13 + 1 // 1..3316 bytes, crossing batch bounds
 			total += int64(size)
-			p := &Packet{ID: uint64(i + 1), Size: size, Output: 0}
+			p := &Packet{ID: uint64(i + 1), Size: int32(size), Output: 0}
 			for _, batch := range b.Add(p) {
 				feed(batch)
 			}

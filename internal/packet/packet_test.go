@@ -162,7 +162,7 @@ func TestBatcherJumboSpansManyBatches(t *testing.T) {
 	if len(done) != 4 { // 4*1024=4096 full, 904 left
 		t.Fatalf("want 4 batches, got %d", len(done))
 	}
-	off := 0
+	var off int32
 	for _, batch := range done {
 		if err := batch.Validate(); err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestUnbatcherReassembles(t *testing.T) {
 	rng := sim.NewRNG(3)
 	for i := 0; i < 200; i++ {
 		size := MinSize + rng.Intn(1500-MinSize)
-		p := &Packet{ID: uint64(i + 1), Size: size, Output: 0}
+		p := &Packet{ID: uint64(i + 1), Size: int32(size), Output: 0}
 		sent = append(sent, p.ID)
 		batches = append(batches, b.Add(p)...)
 	}
@@ -271,7 +271,7 @@ func TestBatchConservationProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			size := 1 + rng.Intn(2000)
 			total += size
-			p := &Packet{ID: uint64(i + 1), Size: size, Output: 0}
+			p := &Packet{ID: uint64(i + 1), Size: int32(size), Output: 0}
 			for _, batch := range b.Add(p) {
 				if batch.Validate() != nil {
 					return false

@@ -39,12 +39,18 @@ func (s *PoolStats) Add(other PoolStats) {
 // PacketPool recycles Packets. Get returns a zeroed packet. Pool
 // misses (the pipeline-fill transient, before recycling catches up)
 // carve packets out of chunk arrays, so even warm-up costs one
-// allocation per 256 packets rather than one per packet.
+// allocation per 256 packets rather than one per packet. A chunk is
+// 256 × 64 B = 16 KiB, a size the Go allocator places page-aligned, so
+// every carved packet occupies exactly one cache line
+// (TestPacketLayout).
 type PacketPool struct {
 	free  []*Packet
 	chunk []Packet
 	stats PoolStats
 }
+
+// packetsPerChunk is the number of packets one pool miss carves.
+const packetsPerChunk = 256
 
 // Get returns a packet with all fields zeroed.
 func (pp *PacketPool) Get() *Packet {
@@ -57,7 +63,7 @@ func (pp *PacketPool) Get() *Packet {
 		return p
 	}
 	if len(pp.chunk) == 0 {
-		pp.chunk = make([]Packet, 256)
+		pp.chunk = make([]Packet, packetsPerChunk)
 		pp.stats.Grows++
 	}
 	p := &pp.chunk[0]

@@ -18,8 +18,9 @@ type Counter struct {
 	Bytes   int64
 }
 
-// Add records one packet of the given size in bytes.
-func (c *Counter) Add(bytes int) {
+// Add records one packet of the given size in bytes (int32, the type
+// of packet.Packet.Size).
+func (c *Counter) Add(bytes int32) {
 	c.Packets++
 	c.Bytes += int64(bytes)
 }

@@ -3,6 +3,8 @@ package traffic
 import (
 	"bytes"
 	"testing"
+
+	"pbrouter/internal/packet"
 )
 
 // FuzzTraceReader feeds arbitrary bytes to the trace parser: it must
@@ -26,7 +28,8 @@ func FuzzTraceReader(f *testing.F) {
 			if err != nil || !ok {
 				return
 			}
-			if p.Size <= 0 || p.Input < 0 || p.Output < 0 {
+			if p.Size <= 0 || p.Size > packet.MaxSize || p.Input < 0 || p.Output < 0 ||
+				int(p.Input) >= tr.Header().N || int(p.Output) >= tr.Header().N {
 				t.Fatalf("malformed packet accepted: %+v", p)
 			}
 		}

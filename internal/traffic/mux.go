@@ -111,7 +111,7 @@ func (m *Mux) Next() (*packet.Packet, sim.Time) {
 		m.heap = m.heap[:last]
 	}
 	m.down(0)
-	pair := p.Input*m.nOut + p.Output
+	pair := p.Pair(m.nOut)
 	p.Seq = m.seq[pair]
 	m.seq[pair]++
 	return p, at

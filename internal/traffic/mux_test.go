@@ -143,7 +143,7 @@ func (m *scanMux) Next() (*packet.Packet, sim.Time) {
 	}
 	p, at := m.head[best], m.at[best]
 	m.head[best], m.at[best] = m.srcs[best].Next()
-	pair := p.Input*m.nOut + p.Output
+	pair := p.Pair(m.nOut)
 	p.Seq = m.seq[pair]
 	m.seq[pair]++
 	return p, at
@@ -166,7 +166,7 @@ func drainRecords(next func() (*packet.Packet, sim.Time), n int) []muxRecord {
 		if p == nil {
 			break
 		}
-		out = append(out, muxRecord{p.ID, p.Arrival, at, p.Input, p.Output, p.Seq, p.Flow, p.Size})
+		out = append(out, muxRecord{p.ID, p.Arrival, at, int(p.Input), int(p.Output), p.Seq, p.Flow, int(p.Size)})
 	}
 	return out
 }
@@ -262,7 +262,7 @@ func TestMuxBreaksTiesBySourceIndex(t *testing.T) {
 	mux := NewMux(equalArrivalSources(srcs, 9))
 	for i := 0; i < 100*srcs; i++ {
 		p, at := mux.Next()
-		if p.Input != i%srcs {
+		if int(p.Input) != i%srcs {
 			t.Fatalf("packet %d at %v from input %d, want %d", i, at, p.Input, i%srcs)
 		}
 	}

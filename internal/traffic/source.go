@@ -268,9 +268,9 @@ func (s *Source) Next() (*packet.Packet, sim.Time) {
 		p = &packet.Packet{}
 	}
 	p.ID = s.idgen()
-	p.Size = size
-	p.Input = s.Input
-	p.Output = out
+	p.Size = int32(size)
+	p.Input = int32(s.Input)
+	p.Output = int32(out)
 	p.Arrival = start + txTime
 	p.Seq = s.seq[out]
 	s.seq[out]++

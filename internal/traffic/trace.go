@@ -58,7 +58,7 @@ func (tw *TraceWriter) Add(p *packet.Packet) error {
 		return fmt.Errorf("traffic: trace arrivals out of order (%v after %v)", p.Arrival, tw.last)
 	}
 	tw.last = p.Arrival
-	if p.Input < 0 || p.Input >= tw.n || p.Output < 0 || p.Output >= tw.n {
+	if p.Input < 0 || int(p.Input) >= tw.n || p.Output < 0 || int(p.Output) >= tw.n {
 		return fmt.Errorf("traffic: packet ports (%d,%d) outside 0..%d", p.Input, p.Output, tw.n-1)
 	}
 	var rec [32]byte
@@ -125,12 +125,25 @@ func (tr *TraceReader) Next() (p *packet.Packet, ok bool, err error) {
 		return nil, false, fmt.Errorf("traffic: trace record: %w", err)
 	}
 	tr.id++
+	// The record holds a 32-bit size; anything past the jumbo bound
+	// would also wrap Packet's int32 Size, so both ends are checked
+	// before the narrowing.
+	size := binary.LittleEndian.Uint32(rec[8:])
+	if size == 0 || size > packet.MaxSize {
+		return nil, false, fmt.Errorf("traffic: trace packet %d has size %d outside 1..%d",
+			tr.id, size, packet.MaxSize)
+	}
+	in, out := int(binary.LittleEndian.Uint16(rec[12:])), int(binary.LittleEndian.Uint16(rec[14:]))
+	if in >= tr.hdr.N || out >= tr.hdr.N {
+		return nil, false, fmt.Errorf("traffic: trace packet %d has ports (%d,%d) outside 0..%d",
+			tr.id, in, out, tr.hdr.N-1)
+	}
 	p = &packet.Packet{
 		ID:      tr.id,
 		Arrival: sim.Time(binary.LittleEndian.Uint64(rec[0:])),
-		Size:    int(binary.LittleEndian.Uint32(rec[8:])),
-		Input:   int(binary.LittleEndian.Uint16(rec[12:])),
-		Output:  int(binary.LittleEndian.Uint16(rec[14:])),
+		Size:    int32(size),
+		Input:   int32(in),
+		Output:  int32(out),
 		Flow: packet.FiveTuple{
 			SrcIP:   binary.LittleEndian.Uint32(rec[16:]),
 			DstIP:   binary.LittleEndian.Uint32(rec[20:]),
@@ -138,9 +151,6 @@ func (tr *TraceReader) Next() (p *packet.Packet, ok bool, err error) {
 			DstPort: binary.LittleEndian.Uint16(rec[26:]),
 			Proto:   rec[28],
 		},
-	}
-	if p.Size <= 0 {
-		return nil, false, fmt.Errorf("traffic: trace packet %d has size %d", tr.id, p.Size)
 	}
 	pair := uint64(p.Input)<<32 | uint64(uint32(p.Output))
 	p.Seq = tr.seqs[pair]
@@ -249,12 +259,8 @@ func ScanTrace(r io.Reader) (TraceStats, error) {
 		st.Last = p.Arrival
 		st.Packets++
 		st.Bytes += int64(p.Size)
-		if p.Size < st.MinSize {
-			st.MinSize = p.Size
-		}
-		if p.Size > st.MaxSize {
-			st.MaxSize = p.Size
-		}
+		st.MinSize = min(st.MinSize, int(p.Size))
+		st.MaxSize = max(st.MaxSize, int(p.Size))
 		st.PerInput[p.Input] += int64(p.Size)
 		st.PerOutput[p.Output] += int64(p.Size)
 	}

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"pbrouter/internal/packet"
@@ -77,6 +78,65 @@ func TestTraceReaderRejectsGarbage(t *testing.T) {
 	raw[4] = 99 // corrupt version
 	if _, err := NewTraceReader(bytes.NewReader(raw)); err == nil {
 		t.Fatal("bad version accepted")
+	}
+}
+
+// TestTraceReaderRejectsOversize checks the reader bounds a record's
+// 32-bit size by packet.MaxSize before narrowing it into Packet.Size:
+// a size of 2^31 or more would otherwise wrap negative.
+func TestTraceReaderRejectsOversize(t *testing.T) {
+	for _, tc := range []struct {
+		size uint32
+		ok   bool
+	}{
+		{packet.MaxSize, true},
+		{packet.MaxSize + 1, false},
+		{1 << 31, false},
+		{1<<32 - 1, false},
+		{0, false},
+	} {
+		var buf bytes.Buffer
+		tw, _ := NewTraceWriter(&buf, 2)
+		tw.Add(&packet.Packet{Arrival: 100, Size: 64, Input: 0, Output: 1})
+		tw.Finish()
+		raw := buf.Bytes()
+		binary.LittleEndian.PutUint32(raw[16+8:], tc.size) // first record's size
+		tr, err := NewTraceReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok, err := tr.Next()
+		if tc.ok {
+			if err != nil || !ok || int64(p.Size) != int64(tc.size) {
+				t.Errorf("size %d: got %v ok=%v err=%v, want it accepted", tc.size, p, ok, err)
+			}
+		} else if err == nil || ok {
+			t.Errorf("size %d accepted (ok=%v)", tc.size, ok)
+		}
+	}
+}
+
+// TestTraceReaderRejectsPortsBeyondHeader checks a record naming a
+// port at or past the header's port count is an error, not a packet
+// that indexes past every per-port table (ScanTrace used to panic).
+func TestTraceReaderRejectsPortsBeyondHeader(t *testing.T) {
+	for _, off := range []int{12, 14} { // input, output
+		var buf bytes.Buffer
+		tw, _ := NewTraceWriter(&buf, 2)
+		tw.Add(&packet.Packet{Arrival: 100, Size: 64, Input: 0, Output: 1})
+		tw.Finish()
+		raw := buf.Bytes()
+		binary.LittleEndian.PutUint16(raw[16+off:], 2)
+		tr, err := NewTraceReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := tr.Next(); err == nil || ok {
+			t.Errorf("port 2 at record offset %d accepted in a 2-port trace", off)
+		}
+		if _, err := ScanTrace(bytes.NewReader(raw)); err == nil {
+			t.Errorf("ScanTrace accepted port 2 at record offset %d in a 2-port trace", off)
+		}
 	}
 }
 

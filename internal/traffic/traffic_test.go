@@ -212,10 +212,10 @@ func TestSourceArrivalsMonotoneAndSeqPerOutput(t *testing.T) {
 			t.Fatal("arrival times not monotone")
 		}
 		prev = at
-		if p.Seq != seqs[p.Output] {
-			t.Fatalf("output %d: seq %d want %d", p.Output, p.Seq, seqs[p.Output])
+		if p.Seq != seqs[int(p.Output)] {
+			t.Fatalf("output %d: seq %d want %d", p.Output, p.Seq, seqs[int(p.Output)])
 		}
-		seqs[p.Output]++
+		seqs[int(p.Output)]++
 		if p.Input != 2 {
 			t.Fatalf("input %d", p.Input)
 		}

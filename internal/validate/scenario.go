@@ -23,6 +23,7 @@ import (
 
 	"pbrouter/internal/core"
 	"pbrouter/internal/hbmswitch"
+	"pbrouter/internal/packet"
 	"pbrouter/internal/sim"
 	"pbrouter/internal/traffic"
 )
@@ -297,6 +298,10 @@ func (sc Scenario) SizeDist() (traffic.SizeDist, error) {
 	case "fixed":
 		if sc.FixedBytes < 1 {
 			return nil, fmt.Errorf("validate: fixed sizes need fixed_bytes")
+		}
+		if sc.FixedBytes > packet.MaxSize {
+			return nil, fmt.Errorf("validate: fixed_bytes %d above the %d B jumbo bound",
+				sc.FixedBytes, packet.MaxSize)
 		}
 		return traffic.Fixed(sc.FixedBytes), nil
 	case "uniform":

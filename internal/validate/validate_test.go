@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pbrouter/internal/hbmswitch"
+	"pbrouter/internal/packet"
 	"pbrouter/internal/sim"
 )
 
@@ -45,6 +46,26 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sc, got) {
 			t.Fatalf("seed %d: round trip changed the scenario:\n%+v\n%+v", seed, sc, got)
+		}
+	}
+}
+
+// TestSizeDistRejectsOversizeFixed checks a fixed-size scenario is
+// bounded by packet.MaxSize, as the trace readers are, so its size
+// fits Packet's int32 Size.
+func TestSizeDistRejectsOversizeFixed(t *testing.T) {
+	for _, tc := range []struct {
+		bytes int
+		ok    bool
+	}{
+		{packet.MaxSize, true},
+		{packet.MaxSize + 1, false},
+		{1 << 31, false},
+		{0, false},
+	} {
+		sc := Scenario{Sizes: "fixed", FixedBytes: tc.bytes}
+		if _, err := sc.SizeDist(); (err == nil) != tc.ok {
+			t.Errorf("fixed_bytes %d: err=%v, want accepted=%v", tc.bytes, err, tc.ok)
 		}
 	}
 }

@@ -223,9 +223,9 @@ func (s *FlowSource) Next() (*packet.Packet, sim.Time) {
 	p := &packet.Packet{
 		ID:      s.nextID(),
 		Flow:    s.tuple,
-		Size:    int(seg),
-		Input:   s.input,
-		Output:  s.out,
+		Size:    int32(seg),
+		Input:   int32(s.input),
+		Output:  int32(s.out),
 		Arrival: at,
 	}
 	return p, at

@@ -59,7 +59,7 @@ func (g *Merged) Next() (*packet.Packet, sim.Time) {
 		g.heap = g.heap[:last]
 	}
 	g.down(0)
-	p.Seq = g.nextSeq(p.Input, p.Output)
+	p.Seq = g.nextSeq(int(p.Input), int(p.Output))
 	return p, at
 }
 

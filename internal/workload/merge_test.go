@@ -82,7 +82,7 @@ func (s *ticker) Next() (*packet.Packet, sim.Time) {
 	at := sim.Time(s.k) * s.step
 	out := s.k % s.n
 	s.k++
-	return &packet.Packet{ID: s.nextID(), Size: 64, Input: s.input, Output: out, Arrival: at,
+	return &packet.Packet{ID: s.nextID(), Size: 64, Input: int32(s.input), Output: int32(out), Arrival: at,
 		Flow: onOffTuple(s.input, out)}, at
 }
 
@@ -102,7 +102,7 @@ func drainMerge(s traffic.Stream, n int) []mergeRecord {
 		if p == nil {
 			break
 		}
-		out = append(out, mergeRecord{p.ID, p.Arrival, at, p.Input, p.Output, p.Seq, p.Flow, p.Size})
+		out = append(out, mergeRecord{p.ID, p.Arrival, at, int(p.Input), int(p.Output), p.Seq, p.Flow, int(p.Size)})
 	}
 	return out
 }

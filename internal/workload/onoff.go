@@ -113,9 +113,9 @@ func (s *OnOffSource) Next() (*packet.Packet, sim.Time) {
 	p := &packet.Packet{
 		ID:      s.cfg.NextID(),
 		Flow:    onOffTuple(s.cfg.Input, out),
-		Size:    size,
-		Input:   s.cfg.Input,
-		Output:  out,
+		Size:    int32(size),
+		Input:   int32(s.cfg.Input),
+		Output:  int32(out),
 		Arrival: at,
 	}
 	return p, at

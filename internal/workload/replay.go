@@ -30,6 +30,10 @@ type Record struct {
 	Flow   uint64 `json:"flow,omitempty"`
 }
 
+// maxPorts bounds a record's port indices, as the binary PBRT trace
+// format bounds its port count (traffic.NewTraceReader).
+const maxPorts = 1 << 16
+
 // ReadRecords parses an NDJSON trace, validating ordering and bounds.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
@@ -55,6 +59,10 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		}
 		if rec.Input < 0 || rec.Output < 0 {
 			return nil, fmt.Errorf("workload: trace line %d: negative port", line)
+		}
+		if rec.Input >= maxPorts || rec.Output >= maxPorts {
+			return nil, fmt.Errorf("workload: trace line %d: port (%d,%d) not below %d",
+				line, rec.Input, rec.Output, maxPorts)
 		}
 		if rec.Size < 1 || rec.Size > packet.MaxSize {
 			return nil, fmt.Errorf("workload: trace line %d: size %d out of [1, %d]",
@@ -94,9 +102,9 @@ func Capture(s traffic.Stream, horizon sim.Time) []Record {
 		}
 		recs = append(recs, Record{
 			TimePs: int64(at),
-			Input:  p.Input,
-			Output: p.Output,
-			Size:   p.Size,
+			Input:  int(p.Input),
+			Output: int(p.Output),
+			Size:   int(p.Size),
 			Flow:   tupleLabel(p.Flow),
 		})
 	}
@@ -189,9 +197,9 @@ func (r *Replay) Next() (*packet.Packet, sim.Time) {
 			DstPort: uint16(label >> 16),
 			Proto:   6,
 		},
-		Size:    size,
-		Input:   rec.Input,
-		Output:  rec.Output,
+		Size:    int32(size),
+		Input:   int32(rec.Input),
+		Output:  int32(rec.Output),
 		Arrival: at,
 	}
 	key := uint64(uint32(p.Input))<<32 | uint64(uint32(p.Output))

@@ -45,7 +45,7 @@ func drain(t *testing.T, s traffic.Stream, n int, horizon sim.Time) []packet.Pac
 		if p.Size < packet.MinSize || p.Size > packet.MaxSize {
 			t.Fatalf("illegal size %d", p.Size)
 		}
-		if p.Input < 0 || p.Input >= n || p.Output < 0 || p.Output >= n {
+		if p.Input < 0 || int(p.Input) >= n || p.Output < 0 || int(p.Output) >= n {
 			t.Fatalf("port out of range: %d->%d", p.Input, p.Output)
 		}
 		key := uint64(uint32(p.Input))<<32 | uint64(uint32(p.Output))
@@ -228,8 +228,8 @@ func TestReplayRoundTrip(t *testing.T) {
 		if p == nil {
 			t.Fatalf("replay ended early at %d/%d", i, len(back))
 		}
-		if int64(at) != recs[i].TimePs || p.Input != recs[i].Input ||
-			p.Output != recs[i].Output || p.Size != recs[i].Size {
+		if int64(at) != recs[i].TimePs || int(p.Input) != recs[i].Input ||
+			int(p.Output) != recs[i].Output || int(p.Size) != recs[i].Size {
 			t.Fatalf("record %d diverged: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
 				i, at, p.Input, p.Output, p.Size,
 				recs[i].TimePs, recs[i].Input, recs[i].Output, recs[i].Size)
@@ -276,7 +276,7 @@ func TestLoadScale(t *testing.T) {
 		}
 		last = at
 		n++
-		perInput[p.Input] += int64(p.Size)
+		perInput[int(p.Input)] += int64(p.Size)
 	}
 	var busiest float64
 	for _, bytes := range perInput {
@@ -306,6 +306,26 @@ func TestReplayValidation(t *testing.T) {
 				t.Fatal("malformed trace accepted")
 			}
 		})
+	}
+}
+
+// TestReadRecordsRejectsWidePorts checks the NDJSON reader bounds the
+// port indices from above as well, at the binary PBRT trace's port
+// count, so they fit Packet's int32 Input and Output.
+func TestReadRecordsRejectsWidePorts(t *testing.T) {
+	for _, tc := range []struct {
+		trace string
+		ok    bool
+	}{
+		{`{"t_ps":1,"in":65535,"out":65535,"size":64}`, true},
+		{`{"t_ps":1,"in":65536,"out":0,"size":64}`, false},
+		{`{"t_ps":1,"in":0,"out":65536,"size":64}`, false},
+		{`{"t_ps":1,"in":4294967296,"out":0,"size":64}`, false},
+	} {
+		_, err := ReadRecords(bytes.NewReader([]byte(tc.trace + "\n")))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err=%v, want accepted=%v", tc.trace, err, tc.ok)
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func runE3(opt Options) (*Result, error) {
 	seqs := map[int]int64{}
 	for i := 0; i < packets*4; i++ {
 		out := i % 16
-		spray.Arrive(&packet.Packet{ID: uint64(i), Size: 64, Output: out, Seq: seqs[out]})
+		spray.Arrive(&packet.Packet{ID: uint64(i), Size: 64, Output: int32(out), Seq: seqs[out]})
 		seqs[out]++
 	}
 	achieved := spray.Finish()
