@@ -7,7 +7,9 @@ import "pbrouter/internal/sim"
 // frames) push at the back and pop at the front; a slice FIFO
 // (append + reslice [1:]) leaks its consumed prefix and reallocates
 // forever, while the ring reuses one backing array so the steady
-// state allocates nothing. The zero value is an empty ring.
+// state allocates nothing. The backing array's length is a power of
+// two, so indexing is a mask rather than a division. The zero value is
+// an empty ring.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -18,7 +20,7 @@ type ring[T any] struct {
 func (r *ring[T]) Len() int { return r.n }
 
 // At returns the i-th queued item (0 = front).
-func (r *ring[T]) At(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+func (r *ring[T]) At(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 // Front returns the front item without removing it.
 func (r *ring[T]) Front() T { return r.buf[r.head] }
@@ -26,7 +28,7 @@ func (r *ring[T]) Front() T { return r.buf[r.head] }
 // PushBack appends an item at the back.
 func (r *ring[T]) PushBack(v T) {
 	r.grow()
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -34,7 +36,7 @@ func (r *ring[T]) PushBack(v T) {
 // write without reallocating the FIFO).
 func (r *ring[T]) PushFront(v T) {
 	r.grow()
-	r.head = (r.head - 1 + len(r.buf)) % len(r.buf)
+	r.head = (r.head - 1) & (len(r.buf) - 1)
 	r.buf[r.head] = v
 	r.n++
 }
@@ -44,9 +46,19 @@ func (r *ring[T]) PopFront() T {
 	v := r.buf[r.head]
 	var zero T
 	r.buf[r.head] = zero // drop the reference for the GC
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
+}
+
+// Remove deletes the i-th queued item (0 = front) and keeps the rest
+// in order: the i items ahead of it move back one slot.
+func (r *ring[T]) Remove(i int) {
+	mask := len(r.buf) - 1
+	for j := i; j > 0; j-- {
+		r.buf[(r.head+j)&mask] = r.buf[(r.head+j-1)&mask]
+	}
+	r.PopFront()
 }
 
 // grow doubles the backing array when full, compacting to the front.
@@ -54,7 +66,7 @@ func (r *ring[T]) grow() {
 	if r.n < len(r.buf) {
 		return
 	}
-	next := make([]T, 2*len(r.buf)+8)
+	next := make([]T, max(8, 2*len(r.buf)))
 	for i := 0; i < r.n; i++ {
 		next[i] = r.At(i)
 	}
@@ -69,53 +81,22 @@ type oqEntry struct {
 	oq sim.Time
 }
 
-// oqRing queues one (input, output) pair's shadowed packets in
-// injection order until the HBM switch departs them. While per-pair
-// egress order holds (the fifo-order invariant), every departure is
-// the ring's head, so the normal path is one compare and a pop: no
-// hashing and no per-packet map entry. A departure that is not the
-// head (a faulted run) is found by scanning the pair's ring and
-// removed in place; an ID that is not there is reported as missing.
-// Either way take returns what a map keyed by packet ID would, for
-// packets whose IDs are unique. The buffer length is a power of two,
-// so indexing is a mask, and it only grows, so the steady state
-// allocates nothing.
-type oqRing struct {
-	buf  []oqEntry
-	head int
-	n    int
-}
-
-// push appends a packet's shadow departure at the back.
-func (r *oqRing) push(id uint64, oq sim.Time) {
-	if r.n == len(r.buf) {
-		next := make([]oqEntry, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+// takeOQ removes packet id from one (input, output) pair's ring of
+// shadowed packets and returns its shadow departure, or false if the
+// ring does not hold it (departed twice, or never shadowed). The ring
+// is in injection order, and while per-pair egress order holds (the
+// fifo-order invariant) every departure is the front, so the normal
+// path is one compare and a pop: no hashing and no per-packet map
+// entry. A departure that is not the front (a faulted run) is found by
+// scanning the pair's ring and removed in place. Either way the result
+// is what a map keyed by packet ID would return, for packets whose IDs
+// are unique.
+func takeOQ(r *ring[oqEntry], id uint64) (sim.Time, bool) {
+	for i := 0; i < r.Len(); i++ {
+		if e := r.At(i); e.id == id {
+			r.Remove(i)
+			return e.oq, true
 		}
-		r.buf, r.head = next, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = oqEntry{id: id, oq: oq}
-	r.n++
-}
-
-// take removes packet id and returns its shadow departure, or false
-// if the ring does not hold it (departed twice, or never shadowed).
-func (r *oqRing) take(id uint64) (sim.Time, bool) {
-	mask := len(r.buf) - 1
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.head+i)&mask]
-		if e.id != id {
-			continue
-		}
-		// Close the gap: shift the i entries ahead of it back one
-		// slot, then pop the head (a no-op shift for i == 0).
-		for j := i; j > 0; j-- {
-			r.buf[(r.head+j)&mask] = r.buf[(r.head+j-1)&mask]
-		}
-		r.head = (r.head + 1) & mask
-		r.n--
-		return e.oq, true
 	}
 	return 0, false
 }

@@ -18,22 +18,23 @@ func (m oqMap) take(id uint64) (sim.Time, bool) {
 	return oq, ok
 }
 
-// TestOQRingMatchesMap drives the per-pair rings and the map with the
-// same randomized push/take sequences and requires the same (oq, ok)
-// on every take: in-order takes (the fifo-order path), out-of-order
-// takes, double takes, IDs never pushed, and pushes that grow a ring
-// whose contents wrap around the end of its buffer.
+// TestOQRingMatchesMap drives per-pair rings (PushBack, takeOQ) and
+// the map with the same randomized push/take sequences and requires
+// the same (oq, ok) on every take: in-order takes (the fifo-order
+// path), out-of-order takes, double takes, IDs never pushed, and
+// pushes that grow a ring whose contents wrap around the end of its
+// buffer.
 func TestOQRingMatchesMap(t *testing.T) {
 	const pairs = 3
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRNG(seed)
-		rings := make([]oqRing, pairs)
+		rings := make([]ring[oqEntry], pairs)
 		ref := oqMap{}
 		var pushed [pairs][]uint64 // every ID ever pushed, per pair
 		var nextID uint64
 		check := func(op string, pair int, id uint64) {
 			t.Helper()
-			got, gotOK := rings[pair].take(id)
+			got, gotOK := takeOQ(&rings[pair], id)
 			want, wantOK := ref.take(id)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("seed %d: %s take(%d) on pair %d = (%v, %v), map says (%v, %v)",
@@ -53,11 +54,11 @@ func TestOQRingMatchesMap(t *testing.T) {
 			case op < pushBias:
 				nextID++
 				oq := sim.Time(rng.Intn(1 << 20))
-				r.push(nextID, oq)
+				r.PushBack(oqEntry{id: nextID, oq: oq})
 				ref.push(nextID, oq)
 				pushed[pair] = append(pushed[pair], nextID)
-			case op < 7 && r.n > 0:
-				check("head", pair, r.buf[r.head].id)
+			case op < 7 && r.Len() > 0:
+				check("front", pair, r.Front().id)
 			case op < 9 && len(pushed[pair]) > 0:
 				// Any ID this pair ever held: out of order while it is
 				// queued, a double take once it has gone.
@@ -73,8 +74,8 @@ func TestOQRingMatchesMap(t *testing.T) {
 			for _, id := range ids {
 				check("drain", pair, id)
 			}
-			if rings[pair].n != 0 {
-				t.Fatalf("seed %d: pair %d holds %d entries after draining", seed, pair, rings[pair].n)
+			if n := rings[pair].Len(); n != 0 {
+				t.Fatalf("seed %d: pair %d holds %d entries after draining", seed, pair, n)
 			}
 		}
 	}
@@ -83,30 +84,30 @@ func TestOQRingMatchesMap(t *testing.T) {
 // TestOQRingGrowsAcrossWrap grows a ring whose queued entries wrap the
 // end of the buffer and checks FIFO order and values survive.
 func TestOQRingGrowsAcrossWrap(t *testing.T) {
-	var r oqRing
+	var r ring[oqEntry]
 	for id := uint64(1); id <= 8; id++ {
-		r.push(id, sim.Time(10*id))
+		r.PushBack(oqEntry{id: id, oq: sim.Time(10 * id)})
 	}
 	for id := uint64(1); id <= 5; id++ {
-		if oq, ok := r.take(id); !ok || oq != sim.Time(10*id) {
+		if oq, ok := takeOQ(&r, id); !ok || oq != sim.Time(10*id) {
 			t.Fatalf("take(%d) = (%v, %v)", id, oq, ok)
 		}
 	}
 	for id := uint64(9); id <= 20; id++ { // 9..13 wrap to the start; 14 grows
-		r.push(id, sim.Time(10*id))
+		r.PushBack(oqEntry{id: id, oq: sim.Time(10 * id)})
 	}
 	if len(r.buf) != 16 || len(r.buf)&(len(r.buf)-1) != 0 {
 		t.Fatalf("buffer length %d, want 16 (a power of two)", len(r.buf))
 	}
 	for id := uint64(6); id <= 20; id++ {
-		if r.buf[r.head].id != id {
-			t.Fatalf("head is %d, want %d", r.buf[r.head].id, id)
+		if f := r.Front().id; f != id {
+			t.Fatalf("front is %d, want %d", f, id)
 		}
-		if oq, ok := r.take(id); !ok || oq != sim.Time(10*id) {
+		if oq, ok := takeOQ(&r, id); !ok || oq != sim.Time(10*id) {
 			t.Fatalf("take(%d) = (%v, %v)", id, oq, ok)
 		}
 	}
-	if _, ok := r.take(20); ok {
+	if _, ok := takeOQ(&r, 20); ok {
 		t.Fatal("double take succeeded")
 	}
 }

@@ -145,7 +145,7 @@ type Switch struct {
 	// Shadow ideal OQ switch, and its departure time for every packet
 	// in flight, queued per flat (input, output) pair.
 	shadow   *baseline.OQSwitch
-	oqDepart []oqRing
+	oqDepart []ring[oqEntry]
 
 	// Optional structural probe (SetProbe); nil-guarded everywhere.
 	probe Probe
@@ -312,7 +312,7 @@ func New(cfg Config) (*Switch, error) {
 	}
 	if cfg.Shadow {
 		s.shadow = baseline.NewOQSwitch(n, cfg.PortRate)
-		s.oqDepart = make([]oqRing, n*n)
+		s.oqDepart = make([]ring[oqEntry], n*n)
 	}
 	return s, nil
 }
@@ -404,7 +404,7 @@ func (s *Switch) inject(p *packet.Packet) {
 	s.oeo.Convert(int64(p.Size) * 8) // O/E at the ingress waveguide
 	if s.shadow != nil {
 		oq := s.shadow.Arrive(p)
-		s.oqDepart[p.Pair(s.cfg.PFI.N)].push(p.ID, oq)
+		s.oqDepart[p.Pair(s.cfg.PFI.N)].PushBack(oqEntry{id: p.ID, oq: oq})
 		if oq > s.warmup && oq <= s.horizon {
 			s.shadowSteady.Add(p.Size)
 		}
@@ -963,7 +963,7 @@ func (s *Switch) departPacket(p *packet.Packet, batchStart sim.Time, cumBytes in
 	pair := p.Pair(s.cfg.PFI.N)
 	oq := sim.Time(-1)
 	if s.shadow != nil {
-		if t, ok := s.oqDepart[pair].take(p.ID); ok {
+		if t, ok := takeOQ(&s.oqDepart[pair], p.ID); ok {
 			oq = t
 			delta := depart - t
 			if delta < 0 {
