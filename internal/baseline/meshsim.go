@@ -143,14 +143,15 @@ func (ms *MeshSim) eject(p *packet.Packet, hops int) {
 	ms.hops.Add(float64(hops))
 }
 
-// pump schedules the next arrival; evMeshArrive injects it and pumps
-// again, keeping one arrival event in flight.
+// pump schedules the next arrival in the scheduler's arrival lane;
+// evMeshArrive injects it and pumps again, keeping one arrival in
+// flight.
 func (ms *MeshSim) pump() {
 	p, at := ms.stream.Next()
 	if p == nil || at > ms.horizon {
 		return
 	}
-	ms.sched.AtEvent(at, ms, evMeshArrive, 0, p)
+	ms.sched.AtArrival(at, ms, evMeshArrive, 0, p)
 }
 
 // MeshReport summarizes an event-level mesh run.

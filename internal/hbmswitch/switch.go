@@ -1075,14 +1075,15 @@ func (s *Switch) Finish() (*Report, error) {
 	return s.report(s.horizon), s.firstErr()
 }
 
-// pump schedules the next arrival from the stream; the evInject
-// handler injects it and pumps again, one in-flight event at a time.
+// pump schedules the next arrival from the stream in the scheduler's
+// arrival lane; the evInject handler injects it and pumps again, one
+// in-flight arrival at a time.
 func (s *Switch) pump() {
 	p, at := s.mux.Next()
 	if p == nil || at > s.horizon {
 		return
 	}
-	s.sched.AtEvent(at, s, evInject, 0, p)
+	s.sched.AtArrival(at, s, evInject, 0, p)
 }
 
 // empty reports whether any stage still holds data.

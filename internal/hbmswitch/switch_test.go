@@ -1,6 +1,7 @@
 package hbmswitch
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -393,5 +394,67 @@ func TestReportString(t *testing.T) {
 		traffic.Fixed(1500), 2*sim.Microsecond, 15)
 	if rep.String() == "" {
 		t.Fatal("empty report string")
+	}
+}
+
+// TestAdvanceToAtArrivalInstants pins the sharding invariant where the
+// scheduler's arrival lane makes it subtle: AdvanceTo exactly at
+// arrival instants and one picosecond either side of them, then
+// Finish, must execute the same events as Run and give a byte-identical
+// report.
+func TestAdvanceToAtArrivalInstants(t *testing.T) {
+	const horizon = 1 * sim.Microsecond
+	cfg := Reference()
+	cfg.Speedup = 1.1
+	cfg.Shadow = true
+	mux := func() *traffic.Mux {
+		return traffic.NewMux(traffic.UniformSources(traffic.Uniform(cfg.PFI.N, 0.9),
+			cfg.PortRate, traffic.Poisson, traffic.Fixed(64), sim.NewRNG(31)))
+	}
+	// The arrival instants come from a twin of the stream the switch
+	// pumps; every fifth one is a slicing point.
+	var cuts []sim.Time
+	for src, i := mux(), 0; ; i++ {
+		p, at := src.Next()
+		if p == nil || at > horizon {
+			break
+		}
+		if i%5 == 0 {
+			cuts = append(cuts, at-1, at, at+1)
+		}
+	}
+	if len(cuts) < 3000 {
+		t.Fatalf("only %d slicing points; the stream is too thin to test the lane", len(cuts))
+	}
+
+	whole, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := whole.Run(mux(), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliced, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliced.Start(mux(), horizon)
+	last := sim.Time(0)
+	for _, c := range cuts {
+		if c >= last {
+			sliced.AdvanceTo(c)
+			last = c
+		}
+	}
+	got, err := sliced.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+		t.Fatalf("sliced report differs from Run's:\n got %s\nwant %s", g, w)
+	}
+	if g, w := sliced.CoreStats().Sched.Events, whole.CoreStats().Sched.Events; g != w {
+		t.Fatalf("sliced run executed %d events, Run %d", g, w)
 	}
 }

@@ -4,9 +4,10 @@ import "fmt"
 
 // Handler receives intrusive events. Hot simulation loops implement
 // it once per model and schedule (receiver, code, payload) triples
-// with AtEvent/AfterEvent instead of allocating a fresh closure per
-// event: the event payload lives in the scheduler's recycled arena,
-// so the steady state allocates nothing. code selects the action, a
+// with AtEvent/AfterEvent (or AtArrival, for a stream's next arrival)
+// instead of allocating a fresh closure per event: the event payload
+// lives in the scheduler's recycled arena or its arrival lane, so the
+// steady state allocates nothing. code selects the action, a
 // carries a small scalar argument (a port index, a packed
 // coordinate), and p carries an optional pointer payload (storing a
 // pointer in an interface does not allocate).
@@ -64,12 +65,36 @@ func (a Algorithm) String() string {
 // binary heap. Events with equal times fire in the order they were
 // scheduled (seq breaks ties) under both algorithms, which keeps runs
 // byte-identical across implementations.
+//
+// Beside the queue sits a one-slot arrival lane (AtArrival) for a
+// model's next stream arrival, which would otherwise enter the queue
+// only to leave it again as the next event. The lane's event takes
+// its seq from the same counter as every queued event, and Step runs
+// whichever of the lane and the queue's earliest event comes first by
+// (time, seq), so the lane changes no event's execution order.
 type Scheduler struct {
 	now     Time
 	seq     uint64
 	events  uint64
-	pending int
+	pending int // queued events plus the lane's
 	algo    Algorithm
+
+	// Arrival lane: one intrusive event held outside the queue,
+	// ordered by (laneAt, laneSeq) against the queue's minimum.
+	laneBusy bool
+	laneCode int32
+	laneAt   Time
+	laneSeq  uint64
+	laneA    int
+	laneH    Handler
+	laneP    any
+
+	// Cached queue minimum (wheel only): arena index + 1 of the
+	// earliest queued event (0 = not cached) and its time. A push
+	// earlier than it replaces it and a pop clears it; peeks fill it,
+	// so the pop after a peek needs no second wheelMin walk.
+	minRef int32
+	minAt  Time
 
 	// Wheel internals accounting (stats.go): slot cascades performed,
 	// events moved by cascades, and events parked on the overflow
@@ -111,7 +136,8 @@ func (s *Scheduler) Algorithm() Algorithm { return s.algo }
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending events.
+// Len returns the number of pending events, the arrival lane's
+// included.
 func (s *Scheduler) Len() int { return s.pending }
 
 // Events returns the total number of events executed so far.
@@ -152,6 +178,30 @@ func (s *Scheduler) AfterEvent(d Time, h Handler, code, a int, p any) {
 	s.AtEvent(s.now+d, h, code, a, p)
 }
 
+// AtArrival schedules an intrusive event in the one-slot arrival lane:
+// at absolute time t the scheduler calls h.HandleEvent(code, a, p),
+// exactly as if AtEvent had been called here instead. It is meant for
+// a model's stream pump, which keeps at most one arrival in flight and
+// schedules the next from the arrival's own handler. It panics if the
+// lane already holds an event or t is before now.
+func (s *Scheduler) AtArrival(t Time, h Handler, code, a int, p any) {
+	if s.laneBusy {
+		panic(fmt.Sprintf("sim: arrival lane busy (at %v) scheduling at %v", s.laneAt, t))
+	}
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
+	}
+	s.seq++
+	s.laneBusy = true
+	s.laneCode = int32(code)
+	s.laneAt = t
+	s.laneSeq = s.seq
+	s.laneA = a
+	s.laneH = h
+	s.laneP = p
+	s.pending++
+}
+
 // push stores the payload in a recycled arena slot and hands its index
 // to the active queue implementation.
 func (s *Scheduler) push(at Time, ev event) {
@@ -170,40 +220,79 @@ func (s *Scheduler) push(at Time, ev event) {
 	s.pending++
 	if s.algo == Heap {
 		s.heapPush(at, idx)
-	} else {
-		s.wheelPush(idx)
+		return
+	}
+	s.wheelPush(idx)
+	if s.minRef != 0 && at < s.minAt {
+		s.minRef, s.minAt = idx+1, at
 	}
 }
 
 // NextTime returns the time of the earliest pending event.
 func (s *Scheduler) NextTime() (Time, bool) {
+	if s.laneBusy && s.laneFirst() {
+		return s.laneAt, true
+	}
 	if s.pending == 0 {
 		return 0, false
 	}
 	if s.algo == Heap {
 		return s.keys[0].at, true
 	}
-	_, at, ok := s.wheelMin()
-	return at, ok
+	_, at := s.wheelPeek()
+	return at, true
 }
 
 // Step executes the single earliest pending event. It reports whether
 // an event was executed.
 func (s *Scheduler) Step() bool {
+	if s.laneBusy && s.laneFirst() {
+		s.runLane()
+		return true
+	}
+	if s.pending == 0 {
+		return false
+	}
 	var idx int32
 	if s.algo == Heap {
-		if len(s.keys) == 0 {
-			return false
-		}
 		idx = s.heapPop().idx
 	} else {
-		var ok bool
-		if idx, ok = s.wheelPop(); !ok {
-			return false
-		}
+		idx = s.wheelPop()
 	}
 	s.exec(idx)
 	return true
+}
+
+// laneFirst reports whether the busy lane's event comes before every
+// queued event by (time, seq).
+func (s *Scheduler) laneFirst() bool {
+	if s.pending == 1 {
+		return true // the lane's is the only pending event
+	}
+	if s.algo == Heap {
+		k := s.keys[0]
+		return s.laneAt < k.at || s.laneAt == k.at && s.laneSeq < k.seq
+	}
+	m, at := s.wheelPeek()
+	// The seq comparison loads the queued event only on a tie.
+	return s.laneAt < at || s.laneAt == at && s.laneSeq < s.arena[m].seq
+}
+
+// runLane empties the arrival lane and runs its event. The wheel clock
+// moves through wheelAdvance, as a queue pop would move it, so pending
+// slots cascade exactly as they would have.
+func (s *Scheduler) runLane() {
+	h, code, a, p := s.laneH, s.laneCode, s.laneA, s.laneP
+	s.laneBusy = false
+	s.laneP = nil // drop the payload's pointer for the GC
+	s.pending--
+	if s.algo == Wheel {
+		s.wheelAdvance(s.laneAt)
+	} else {
+		s.now = s.laneAt
+	}
+	s.events++
+	h.HandleEvent(int(code), a, p)
 }
 
 // exec runs the arena event at idx, recycling its slot first so the

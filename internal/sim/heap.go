@@ -4,7 +4,9 @@ package sim
 // differential testing against the timing wheel: both implementations
 // order events by (at, seq), so runs are byte-identical at the same
 // seed. The heap was the default through PR 5; see docs/perf.md for
-// the measured difference.
+// the measured difference. The heap needs no minimum cache: keys[0]
+// is its earliest event, which Step compares against the arrival lane
+// by (at, seq) just as it does the wheel's.
 
 // eventKey orders the heap. Keys carry no pointers, so sift
 // operations are plain memmoves with no GC write barriers. idx

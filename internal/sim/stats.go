@@ -8,7 +8,8 @@ package sim
 type SchedStats struct {
 	// Events is the total number of events executed.
 	Events uint64
-	// Pending is the number of events currently scheduled.
+	// Pending is the number of events currently scheduled, the
+	// arrival lane's included.
 	Pending int
 	// Cascades counts (level, slot) lists redistributed to lower
 	// wheel levels as the clock advanced; CascadeEvents counts the

@@ -25,6 +25,14 @@ import "math/bits"
 // overflow list that is refilled into the wheel only when the wheel
 // itself drains — a calendar-queue fallback that is never on the hot
 // path.
+//
+// The scheduler keeps two things beside the wheel. The arrival lane
+// (AtArrival) holds a stream's next arrival, which never enters a
+// slot; running it moves the clock through wheelAdvance exactly as a
+// pop at its time would, so slots cascade as they would have. And a
+// one-entry cache of the earliest queued event (wheelPeek) lets the
+// pop that follows a peek — RunUntil's NextTime then Step, or Step
+// comparing the queue against the lane — skip a second wheelMin walk.
 const (
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits // 256
@@ -141,25 +149,36 @@ func (s *Scheduler) wheelMin() (int32, Time, bool) {
 	return best, bestAt, best >= 0
 }
 
-// wheelPop removes and returns the earliest pending event's arena
-// index, advancing the wheel clock to its time.
-func (s *Scheduler) wheelPop() (int32, bool) {
-	// Fast path: the current tick's slot is still occupied (batched
-	// same-tick drain — no scans, no cascades).
-	slot0 := digit(s.now, 0)
-	if s.occ[0][slot0>>6]&(1<<(slot0&63)) != 0 {
-		return s.slotPopHead(0, slot0), true
+// wheelPeek returns the earliest queued event's arena index and time
+// from the minimum cache, filling the cache on a miss: from the head
+// of the current tick's slot when it is occupied (a batched same-tick
+// drain needs no scan), else by a wheelMin walk. The queue must not be
+// empty.
+func (s *Scheduler) wheelPeek() (int32, Time) {
+	if s.minRef == 0 {
+		if slot0 := digit(s.now, 0); s.occ[0][slot0>>6]&(1<<(slot0&63)) != 0 {
+			s.minRef, s.minAt = s.heads[0][slot0], s.now
+		} else {
+			idx, at, _ := s.wheelMin()
+			s.minRef, s.minAt = idx+1, at
+		}
 	}
-	_, at, ok := s.wheelMin()
-	if !ok {
-		return 0, false
-	}
+	return s.minRef - 1, s.minAt
+}
+
+// wheelPop removes and returns the earliest queued event's arena
+// index. Advancing the wheel clock to the event's time leaves it at
+// the head of its level-0 slot (same-time events sit there in seq
+// order), so the pop needs no second search. The queue must not be
+// empty.
+func (s *Scheduler) wheelPop() int32 {
+	idx, at := s.wheelPeek()
 	s.wheelAdvance(at)
-	slot0 = digit(at, 0)
-	if s.occ[0][slot0>>6]&(1<<(slot0&63)) == 0 {
+	if head := s.slotPopHead(0, digit(at, 0)); head != idx {
 		panic("sim: wheel advance lost the minimum event")
 	}
-	return s.slotPopHead(0, slot0), true
+	s.minRef = 0
+	return idx
 }
 
 // slotPopHead unlinks and returns the head of a slot list.

@@ -215,8 +215,9 @@ func TestSetAlgorithm(t *testing.T) {
 }
 
 // TestSchedulerZeroAlloc is the alloc budget for the event core: on a
-// warm scheduler, intrusive push + pop must not allocate at all, under
-// both queue implementations.
+// warm scheduler, intrusive push + pop, through the queue and through
+// the arrival lane, must not allocate at all, under both queue
+// implementations.
 func TestSchedulerZeroAlloc(t *testing.T) {
 	for _, algo := range []Algorithm{Wheel, Heap} {
 		var s Scheduler
@@ -229,6 +230,7 @@ func TestSchedulerZeroAlloc(t *testing.T) {
 		s.Run()
 		per := testing.AllocsPerRun(1000, func() {
 			s.AfterEvent(3, h, 1, 0, nil)
+			s.AtArrival(s.Now()+3, h, 3, 2, nil)
 			s.AfterEvent(900, h, 2, 1, nil)
 			s.Run()
 		})
